@@ -16,11 +16,12 @@
 //! * `error_model` — §2 bit-classification throughput;
 //! * `compile_minic` — MiniC front-end+codegen throughput.
 
-use cfed_core::{run_dbt, run_dbt_tiered_enabled, RunConfig, TechniqueKind};
-use cfed_dbt::{Dbt, NullInstrumenter, UpdateStyle};
+use cfed_core::{run_dbt, run_engine, RunConfig, TechniqueKind};
+use cfed_dbt::{Dbt, EngineSpec, NullInstrumenter, UpdateStyle};
 use cfed_fault::analyze_image;
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_sim::Machine;
+use cfed_telemetry::Telemetry;
 use cfed_workloads::{by_name, Scale};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
@@ -182,7 +183,9 @@ fn bench_trace_tier(c: &mut Criterion) {
     // The trace tier only pays off once the native backend is live: without
     // it the tier falls back to fused-cache dispatch and the two rows would
     // measure the same engine.
-    if !cfed_dbt::native_enabled() || !cfed_dbt::tier_enabled() {
+    let threshold = Some(cfed_dbt::DEFAULT_COMPILE_THRESHOLD);
+    let traced = EngineSpec::dbt(true, threshold);
+    if traced.resolve() != traced {
         eprintln!("trace_tier: native backend or trace tier unavailable; group skipped");
         return;
     }
@@ -208,21 +211,21 @@ fn bench_trace_tier(c: &mut Criterion) {
         max_insts: u64::MAX,
         ..RunConfig::technique(TechniqueKind::EdgCf)
     };
-    let threshold = cfed_dbt::DEFAULT_COMPILE_THRESHOLD;
     // Both rows retire the tier-1 instruction stream's worth of guest work;
     // use that count as the shared per-element denominator so the trace
     // tier's optimized (shorter) stream shows up as throughput, not as a
     // different workload.
-    let tier1 = run_dbt_tiered_enabled(&image, &cfg, threshold, true, false);
-    let tiered = run_dbt_tiered_enabled(&image, &cfg, threshold, true, true);
+    let run = |tier: bool| {
+        let spec = EngineSpec::dbt(true, threshold.filter(|_| tier));
+        run_engine(&image, &cfg, spec, &Telemetry::off())
+    };
+    let (tier1, tiered) = (run(false), run(true));
     assert_eq!(tier1.output, tiered.output, "trace tier changed guest output");
     assert!(tiered.dbt.traces > 0, "hot loop failed to promote to the trace tier");
     let mut g = c.benchmark_group("trace_tier");
     g.throughput(Throughput::Elements(tier1.insts));
     for (name, tier) in [("tier1_native", false), ("trace_tier", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(run_dbt_tiered_enabled(&image, &cfg, threshold, true, tier)))
-        });
+        g.bench_function(name, |b| b.iter(|| black_box(run(tier))));
     }
     g.finish();
 }

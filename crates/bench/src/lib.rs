@@ -12,10 +12,8 @@
 //! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` |
 //! | §3/§4 coverage claims | [`coverage`] | `coverage_matrix` |
 
-use cfed_core::{
-    geomean, run_dbt, run_dbt_telemetry, run_native, Category, RunConfig, TechniqueKind,
-};
-use cfed_dbt::{CheckPolicy, UpdateStyle};
+use cfed_core::{geomean, run_dbt, run_engine, run_native, Category, RunConfig, TechniqueKind};
+use cfed_dbt::{CheckPolicy, EngineSpec, UpdateStyle};
 use cfed_fault::{analyze_image, CampaignReport, CategoryStats, ErrorModelTable};
 use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
 use cfed_runner::pool::{parallel_map, run_matrix, RunSummary, RunnerOptions};
@@ -138,9 +136,9 @@ pub fn fig12_telemetry_with(
         let w = &ALL[i];
         let img = image(w, scale);
         let native = run_native(&img, u64::MAX);
-        let base = run_dbt_telemetry(&img, &RunConfig::baseline(), telemetry);
-        let cycles =
-            |kind| run_dbt_telemetry(&img, &RunConfig::technique(kind), telemetry).cycles as f64;
+        let run = |cfg| run_engine(&img, &cfg, EngineSpec::DbtFused, telemetry);
+        let base = run(RunConfig::baseline());
+        let cycles = |kind| run(RunConfig::technique(kind)).cycles as f64;
         SlowdownRow {
             name: w.name,
             suite: w.suite,

@@ -49,7 +49,7 @@ struct CacheBlock {
     cache_end: u64,
     /// Guest address of the block's first instruction (its signature).
     guest_start: u64,
-    /// Extent of the 1:1-copied guest body; `None` for jump-inlined traces,
+    /// Extent of the 1:1-copied guest body; `None` for tier-2 traces,
     /// whose bodies are discontiguous.
     body: Option<Range<u64>>,
 }
@@ -75,7 +75,7 @@ impl CacheLayout {
         let by_start = dbt
             .blocks()
             .map(|b| {
-                // `body_len == 0` is ambiguous: a jump-inlined trace (body
+                // `body_len == 0` is ambiguous: a tier-2 trace (body
                 // layout unknown) or a terminator-only block (empty body at
                 // `body_start`, known exactly). A trace always covers more
                 // than one guest instruction, so `guest_len` separates them.
@@ -93,7 +93,7 @@ impl CacheLayout {
     /// Whether `addr` falls on a translated block's *instrumentation* — the
     /// head check sequence or the terminator glue — rather than on a
     /// 1:1-copied guest instruction. Conservatively `false` when the body
-    /// layout is unknown (jump-inlined traces) or `addr` is outside every
+    /// layout is unknown (tier-2 traces) or `addr` is outside every
     /// block.
     pub fn is_instrumentation(&self, addr: u64) -> bool {
         let Some((_, b)) = self.by_start.range(..=addr).next_back() else { return false };
@@ -106,7 +106,7 @@ impl CacheLayout {
 
     /// Attributes a cache address to `(guest block start, part)` — the
     /// profiler's per-sample classification. `None` outside every
-    /// translated block (shared stubs, dead translations). Jump-inlined
+    /// translated block (shared stubs, dead translations). Tier-2
     /// traces, whose body layout is unknown, attribute wholly to
     /// [`CachePart::Payload`], mirroring how [`CacheLayout::is_instrumentation`]
     /// is conservatively `false` for them.

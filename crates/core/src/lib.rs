@@ -48,9 +48,8 @@ pub use classify::{
 pub use placement::PlacementVerifier;
 pub use profile::{profile_dbt, profile_dbt_telemetry};
 pub use run::{
-    geomean, run_dbt, run_dbt_native, run_dbt_native_enabled, run_dbt_telemetry, run_dbt_tiered,
-    run_dbt_tiered_enabled, run_dbt_with, run_dbt_with_telemetry, run_native, slowdown,
-    trace_tier_config, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
+    geomean, run_dbt, run_dbt_native_enabled, run_dbt_tiered_enabled, run_engine, run_native,
+    slowdown, Engine, RunConfig, RunOutcome, DEFAULT_MAX_INSTS,
 };
 pub use techniques::{
     CfcssInstrumenter, EccaInstrumenter, EcfInstrumenter, EdgCfInstrumenter, RcfInstrumenter,

@@ -18,10 +18,9 @@
 //! per-cell profile records.
 
 use crate::classify::{CacheLayout, CachePart};
-use crate::run::{RunConfig, RunOutcome};
+use crate::run::{Engine, RunConfig, RunOutcome};
 use cfed_asm::Image;
-use cfed_dbt::{Dbt, NullInstrumenter};
-use cfed_sim::Machine;
+use cfed_dbt::EngineSpec;
 use cfed_telemetry::{BlockProfile, Profile, Telemetry};
 
 /// Runs `image` under the DBT as [`crate::run_dbt`] would, with the
@@ -38,17 +37,14 @@ pub fn profile_dbt_telemetry(
     cfg: &RunConfig,
     telemetry: &Telemetry,
 ) -> (RunOutcome, Profile) {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
+    let mut engine = Engine::new(image, cfg, EngineSpec::DbtFused);
+    let m = &mut engine.machine;
     m.enable_profiler();
-    let mut dbt = Dbt::new(instr, cfg.style, &mut m);
-    dbt.set_telemetry(telemetry.clone());
-    let exit = dbt.run(&mut m, cfg.max_insts);
+    let dbt = engine.dbt.as_mut().expect("dbt-fused has a translator");
+    dbt.dbt_mut().set_telemetry(telemetry.clone());
+    let exit = dbt.run(m, cfg.max_insts);
 
-    let layout = CacheLayout::snapshot(&dbt, m.code_range());
+    let layout = CacheLayout::snapshot(dbt.dbt(), m.code_range());
     let profiler = m.take_profiler().expect("profiler attached above");
     let mut profile = Profile::new();
     let mut attributed = 0u64;
@@ -63,16 +59,8 @@ pub fn profile_dbt_telemetry(
         profile.record_block(guest_start, sample);
         attributed += cycles;
     }
-    let total = m.cpu.stats().cycles;
-    profile.record_other(total - attributed);
-
-    let outcome = RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: total,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    };
+    let outcome = engine.outcome(exit);
+    profile.record_other(outcome.cycles - attributed);
     (outcome, profile)
 }
 

@@ -4,8 +4,11 @@
 
 use crate::techniques::TechniqueKind;
 use cfed_asm::Image;
-use cfed_dbt::{CheckPolicy, Dbt, DbtExit, DbtStats, NullInstrumenter, UpdateStyle};
-use cfed_sim::{ExitReason, Machine};
+use cfed_dbt::{
+    CheckPolicy, DbtExit, DbtStats, EngineSpec, Instrumenter, NativeDbt, NullInstrumenter,
+    TierConfig, UpdateStyle,
+};
+use cfed_sim::Machine;
 use cfed_telemetry::Telemetry;
 
 /// Default instruction budget for experiment runs.
@@ -45,6 +48,15 @@ impl RunConfig {
     pub fn technique(kind: TechniqueKind) -> RunConfig {
         RunConfig { technique: Some(kind), ..RunConfig::default() }
     }
+
+    /// The configured technique's instrumenter for `image` under the
+    /// configured policy; the null instrumenter for the baseline.
+    pub fn instrumenter(&self, image: &Image) -> Box<dyn Instrumenter> {
+        match self.technique {
+            Some(kind) => kind.instrumenter_for(image, self.policy),
+            None => Box::new(NullInstrumenter),
+        }
+    }
 }
 
 /// What a run produced.
@@ -62,7 +74,93 @@ pub struct RunOutcome {
     pub dbt: DbtStats,
 }
 
-/// Runs `image` under the DBT with the given configuration.
+/// An image loaded into a fresh machine under one engine — the single
+/// place an [`EngineSpec`] becomes something that runs. Resumable: pause
+/// with a small [`Engine::run`] budget, inspect or perturb `machine`, then
+/// run on.
+pub struct Engine {
+    /// The guest machine.
+    pub machine: Machine,
+    /// The translator; `None` for the interpreter engines.
+    pub dbt: Option<NativeDbt>,
+}
+
+impl Engine {
+    /// Loads `image` and builds `spec` exactly as named; harnesses that
+    /// honor the host's kill switches pass [`EngineSpec::resolve`]d specs.
+    /// The interpreter engines carry no instrumentation and ignore `cfg`'s
+    /// technique; tiered engines stay on tier-1 for techniques the trace
+    /// tier cannot verify (see [`TechniqueKind::supports_trace_tier`]).
+    pub fn new(image: &Image, cfg: &RunConfig, spec: EngineSpec) -> Engine {
+        let mut machine = Machine::load(image.code(), image.data(), image.entry_offset());
+        machine.set_decode_cache(spec.decode_cache());
+        let dbt = spec.is_dbt().then(|| {
+            let tier = spec.tier_threshold().and_then(|t| trace_tier_config(cfg, t));
+            NativeDbt::new(cfg.instrumenter(image), cfg.style, &mut machine, spec.is_native(), tier)
+        });
+        Engine { machine, dbt }
+    }
+
+    /// Runs until halt, a surfaced trap, or `max_insts` more retired
+    /// instructions.
+    pub fn run(&mut self, max_insts: u64) -> DbtExit {
+        match &mut self.dbt {
+            Some(dbt) => dbt.run(&mut self.machine, max_insts),
+            None => self.machine.run(max_insts).into(),
+        }
+    }
+
+    /// The run's result for `exit`, draining the machine's output stream.
+    pub fn outcome(&mut self, exit: DbtExit) -> RunOutcome {
+        let stats = self.machine.cpu.stats();
+        RunOutcome {
+            exit,
+            output: self.machine.cpu.take_output(),
+            cycles: stats.cycles,
+            insts: stats.insts,
+            dbt: self.dbt.as_ref().map_or_else(DbtStats::default, NativeDbt::stats),
+        }
+    }
+}
+
+/// Runs `image` to completion under `spec` (exactly as named, see
+/// [`Engine::new`]) with the given configuration. A DBT engine reports
+/// through `telemetry`: the run end emits a `dbt_stats` event
+/// (block/chain/eviction counters and the translation-time histogram).
+///
+/// # Examples
+///
+/// ```
+/// use cfed_core::{run_engine, run_native, RunConfig, TechniqueKind};
+/// use cfed_dbt::{DbtExit, EngineSpec};
+/// use cfed_telemetry::Telemetry;
+///
+/// let image = cfed_lang::compile(
+///     "fn main() { let i = 0; while (i < 999) { i = i + 1; } out(i); }",
+/// )?;
+/// let cfg = RunConfig::technique(TechniqueKind::EdgCf);
+/// let spec = EngineSpec::DbtTierNative(8).resolve();
+/// let out = run_engine(&image, &cfg, spec, &Telemetry::off());
+/// assert_eq!(out.exit, DbtExit::Halted { code: 0 });
+/// assert_eq!(out.output, run_native(&image, cfg.max_insts).output);
+/// # Ok::<(), cfed_lang::CompileError>(())
+/// ```
+pub fn run_engine(
+    image: &Image,
+    cfg: &RunConfig,
+    spec: EngineSpec,
+    telemetry: &Telemetry,
+) -> RunOutcome {
+    let mut engine = Engine::new(image, cfg, spec);
+    if let Some(dbt) = engine.dbt.as_mut() {
+        dbt.dbt_mut().set_telemetry(telemetry.clone());
+    }
+    let exit = engine.run(cfg.max_insts);
+    engine.outcome(exit)
+}
+
+/// Runs `image` under the block-fused DBT ([`EngineSpec::DbtFused`]) — the
+/// engine the paper's figures are measured on.
 ///
 /// # Examples
 ///
@@ -78,145 +176,19 @@ pub struct RunOutcome {
 /// # Ok::<(), cfed_lang::CompileError>(())
 /// ```
 pub fn run_dbt(image: &Image, cfg: &RunConfig) -> RunOutcome {
-    run_dbt_telemetry(image, cfg, &Telemetry::off())
+    run_engine(image, cfg, EngineSpec::DbtFused, &Telemetry::off())
 }
 
-/// As [`run_dbt`], with a telemetry handle attached to the translator: the
-/// run end emits a `dbt_stats` event (block/chain/eviction counters and
-/// the translation-time histogram) to the handle's sink. With the disabled
-/// handle this is exactly [`run_dbt`].
-pub fn run_dbt_telemetry(image: &Image, cfg: &RunConfig, telemetry: &Telemetry) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    run_dbt_with_telemetry(image, instr, cfg.style, cfg.max_insts, telemetry)
-}
-
-/// Runs `image` under the DBT with an explicit instrumenter (for custom or
-/// CFG-dependent techniques).
-pub fn run_dbt_with(
-    image: &Image,
-    instr: Box<dyn cfed_dbt::Instrumenter>,
-    style: UpdateStyle,
-    max_insts: u64,
-) -> RunOutcome {
-    run_dbt_with_telemetry(image, instr, style, max_insts, &Telemetry::off())
-}
-
-/// The fully-general harness: explicit instrumenter plus telemetry handle.
-pub fn run_dbt_with_telemetry(
-    image: &Image,
-    instr: Box<dyn cfed_dbt::Instrumenter>,
-    style: UpdateStyle,
-    max_insts: u64,
-    telemetry: &Telemetry,
-) -> RunOutcome {
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = Dbt::new(instr, style, &mut m);
-    dbt.set_telemetry(telemetry.clone());
-    let exit = dbt.run(&mut m, max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
-}
-
-/// Runs `image` under the DBT with the native x86-64 backend when the
-/// platform and environment allow it (see [`cfed_dbt::native_enabled`]:
-/// non-x86-64 hosts and `CFED_NO_NATIVE=1` fall back to the fused
-/// interpreter). Results are bit-identical either way.
-///
-/// # Examples
-///
-/// ```
-/// use cfed_core::{run_dbt, run_dbt_native, RunConfig, TechniqueKind};
-///
-/// let image = cfed_lang::compile("fn main() { out(6 * 7); }")?;
-/// let cfg = RunConfig::technique(TechniqueKind::Cfcss);
-/// let native = run_dbt_native(&image, &cfg);
-/// let interp = run_dbt(&image, &cfg);
-/// assert_eq!(native.exit, interp.exit);
-/// assert_eq!(native.output, interp.output);
-/// assert_eq!(native.cycles, interp.cycles);
-/// assert_eq!(native.dbt, interp.dbt);
-/// # Ok::<(), cfed_lang::CompileError>(())
-/// ```
-pub fn run_dbt_native(image: &Image, cfg: &RunConfig) -> RunOutcome {
-    run_dbt_native_enabled(image, cfg, cfed_dbt::native_enabled())
-}
-
-/// As [`run_dbt_native`] with an explicit native on/off switch, for
-/// harnesses that must not depend on ambient environment variables.
+/// [`run_engine`] on `dbt-native` (or `dbt-fused`), untraced. Kept for the
+/// `perfbench` benchmark, its only caller; everything else names an
+/// [`EngineSpec`].
 pub fn run_dbt_native_enabled(image: &Image, cfg: &RunConfig, native: bool) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = cfed_dbt::NativeDbt::with_native(instr, cfg.style, &mut m, native);
-    let exit = dbt.run(&mut m, cfg.max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
+    run_engine(image, cfg, EngineSpec::dbt(native, None), &Telemetry::off())
 }
 
-/// Builds the tier-2 configuration for a run: the crate's
-/// [`crate::placement::PlacementVerifier`] at the given compile threshold.
-/// `None` when the configured technique's updates cannot be modeled by the
-/// trace IR (see [`TechniqueKind::supports_trace_tier`]) — such runs stay
-/// on tier-1 even when asked for the trace tier.
-pub fn trace_tier_config(cfg: &RunConfig, compile_threshold: u32) -> Option<cfed_dbt::TierConfig> {
-    let supported = match cfg.technique {
-        None => true,
-        Some(kind) => kind.supports_trace_tier(),
-    };
-    supported.then(|| {
-        cfed_dbt::TierConfig::new(std::sync::Arc::new(crate::placement::PlacementVerifier))
-            .with_threshold(compile_threshold)
-    })
-}
-
-/// Runs `image` under the tiered DBT: tier-1 blocks carry hot counters and
-/// promote to verified optimized traces at `compile_threshold` executions.
-/// The native backend and the trace tier each honor their ambient kill
-/// switches (`CFED_NO_NATIVE`, `CFED_NO_TIER`); guest-observable behavior
-/// (exit, output) is identical across all four combinations, while cycle
-/// and instruction counts improve when traces form.
-///
-/// # Examples
-///
-/// ```
-/// use cfed_core::{run_dbt_tiered, RunConfig, TechniqueKind};
-/// use cfed_dbt::DbtExit;
-///
-/// let image = cfed_lang::compile(
-///     "fn main() { let i = 0; while (i < 999) { i = i + 1; } out(i); }",
-/// )?;
-/// let out = run_dbt_tiered(&image, &RunConfig::technique(TechniqueKind::EdgCf), 8);
-/// assert_eq!(out.exit, DbtExit::Halted { code: 0 });
-/// assert_eq!(out.output, vec![999]);
-/// # Ok::<(), cfed_lang::CompileError>(())
-/// ```
-pub fn run_dbt_tiered(image: &Image, cfg: &RunConfig, compile_threshold: u32) -> RunOutcome {
-    run_dbt_tiered_enabled(
-        image,
-        cfg,
-        compile_threshold,
-        cfed_dbt::native_enabled(),
-        cfed_dbt::tier_enabled(),
-    )
-}
-
-/// As [`run_dbt_tiered`] with explicit native and tier on/off switches, for
-/// harnesses that must not depend on ambient environment variables.
+/// [`run_engine`] on the DBT engine with the given native and trace-tier
+/// switches, untraced. Kept for the `perfbench` benchmark, its only
+/// caller; everything else names an [`EngineSpec`].
 pub fn run_dbt_tiered_enabled(
     image: &Image,
     cfg: &RunConfig,
@@ -224,38 +196,34 @@ pub fn run_dbt_tiered_enabled(
     native: bool,
     tier: bool,
 ) -> RunOutcome {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
+    run_engine(
+        image,
+        cfg,
+        EngineSpec::dbt(native, tier.then_some(compile_threshold)),
+        &Telemetry::off(),
+    )
+}
+
+/// Builds the tier-2 configuration for a run: the crate's
+/// [`crate::placement::PlacementVerifier`] at the given compile threshold.
+/// `None` when the configured technique's updates cannot be modeled by the
+/// trace IR (see [`TechniqueKind::supports_trace_tier`]) — such runs stay
+/// on tier-1 even when asked for the trace tier.
+fn trace_tier_config(cfg: &RunConfig, compile_threshold: u32) -> Option<TierConfig> {
+    let supported = match cfg.technique {
+        None => true,
+        Some(kind) => kind.supports_trace_tier(),
     };
-    let tier_cfg = if tier { trace_tier_config(cfg, compile_threshold) } else { None };
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = cfed_dbt::NativeDbt::with_options(instr, cfg.style, &mut m, native, tier_cfg);
-    let exit = dbt.run(&mut m, cfg.max_insts);
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: dbt.stats(),
-    }
+    supported.then(|| {
+        TierConfig::new(std::sync::Arc::new(crate::placement::PlacementVerifier))
+            .with_threshold(compile_threshold)
+    })
 }
 
 /// Runs `image` directly on the interpreter (no DBT).
 pub fn run_native(image: &Image, max_insts: u64) -> RunOutcome {
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let exit = match m.run(max_insts) {
-        ExitReason::Halted { code } => DbtExit::Halted { code },
-        ExitReason::Trapped(t) => DbtExit::Trapped(t),
-        ExitReason::StepLimit => DbtExit::StepLimit,
-    };
-    RunOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        cycles: m.cpu.stats().cycles,
-        insts: m.cpu.stats().insts,
-        dbt: DbtStats::default(),
-    }
+    let cfg = RunConfig { max_insts, ..RunConfig::default() };
+    run_engine(image, &cfg, EngineSpec::InterpFused, &Telemetry::off())
 }
 
 /// Slowdown of `cycles` relative to a baseline.
@@ -294,6 +262,20 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn geomean_empty_panics() {
         let _ = geomean(&[]);
+    }
+
+    #[test]
+    fn run_engine_matches_the_named_harnesses() {
+        let image =
+            cfed_lang::compile("fn main() { let i = 0; while (i < 50) { i = i + 1; } out(i); }")
+                .expect("valid program");
+        let cfg = RunConfig::technique(TechniqueKind::EdgCf);
+        let off = Telemetry::off();
+        let native = run_native(&image, cfg.max_insts);
+        for spec in [EngineSpec::InterpRaw, EngineSpec::InterpFused] {
+            assert_eq!(run_engine(&image, &cfg, spec, &off), native, "{}", spec.label());
+        }
+        assert_eq!(run_engine(&image, &cfg, EngineSpec::DbtFused, &off), run_dbt(&image, &cfg));
     }
 
     #[test]

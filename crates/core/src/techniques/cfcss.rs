@@ -204,9 +204,13 @@ impl Instrumenter for CfcssInstrumenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_dbt_with, run_native};
-    use cfed_dbt::UpdateStyle;
+    use crate::run::{run_dbt, run_native, RunConfig};
+    use crate::TechniqueKind;
     use cfed_lang::compile;
+
+    fn cfcss_config() -> RunConfig {
+        RunConfig { max_insts: 50_000_000, ..RunConfig::technique(TechniqueKind::Cfcss) }
+    }
 
     fn image() -> Image {
         compile(
@@ -227,8 +231,7 @@ mod tests {
     fn transparent_execution() {
         let img = image();
         let native = run_native(&img, u64::MAX);
-        let instr = CfcssInstrumenter::from_image(&img, CheckPolicy::AllBb);
-        let got = run_dbt_with(&img, Box::new(instr), UpdateStyle::Jcc, 50_000_000);
+        let got = run_dbt(&img, &cfcss_config());
         assert_eq!(got.exit, native.exit);
         assert_eq!(got.output, native.output);
     }
@@ -261,12 +264,8 @@ mod tests {
     fn cheaper_than_edgcf() {
         // Head-only instrumentation: CFCSS must expand code less than EdgCF.
         let img = image();
-        let cfcss = CfcssInstrumenter::from_image(&img, CheckPolicy::AllBb);
-        let a = run_dbt_with(&img, Box::new(cfcss), UpdateStyle::Jcc, 50_000_000);
-        let b = crate::run::run_dbt(
-            &img,
-            &crate::run::RunConfig::technique(crate::TechniqueKind::EdgCf),
-        );
+        let a = run_dbt(&img, &cfcss_config());
+        let b = run_dbt(&img, &RunConfig::technique(TechniqueKind::EdgCf));
         let ea = a.dbt.cache_insts as f64 / a.dbt.guest_insts as f64;
         let eb = b.dbt.cache_insts as f64 / b.dbt.guest_insts as f64;
         assert!(ea < eb, "CFCSS expansion {ea:.2} should undercut EdgCF {eb:.2}");

@@ -189,10 +189,14 @@ impl Instrumenter for EccaInstrumenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run_dbt, run_dbt_with, run_native, RunConfig};
+    use crate::run::{run_dbt, run_native, RunConfig};
     use crate::TechniqueKind;
     use cfed_dbt::UpdateStyle;
     use cfed_lang::compile;
+
+    fn ecca_config() -> RunConfig {
+        RunConfig { max_insts: 100_000_000, ..RunConfig::technique(TechniqueKind::Ecca) }
+    }
 
     fn image() -> Image {
         compile(
@@ -221,8 +225,7 @@ mod tests {
         let img = image();
         let native = run_native(&img, u64::MAX);
         for style in [UpdateStyle::Jcc, UpdateStyle::CMov] {
-            let instr = EccaInstrumenter::from_image(&img, CheckPolicy::AllBb);
-            let got = run_dbt_with(&img, Box::new(instr), style, 100_000_000);
+            let got = run_dbt(&img, &RunConfig { style, ..ecca_config() });
             assert_eq!(got.exit, native.exit, "{style}");
             assert_eq!(got.output, native.output, "{style}");
         }
@@ -234,8 +237,7 @@ mod tests {
         // must cost far more than EdgCF.
         let img = image();
         let base = run_dbt(&img, &RunConfig::baseline()).cycles as f64;
-        let instr = EccaInstrumenter::from_image(&img, CheckPolicy::AllBb);
-        let ecca = run_dbt_with(&img, Box::new(instr), UpdateStyle::Jcc, 100_000_000).cycles as f64;
+        let ecca = run_dbt(&img, &ecca_config()).cycles as f64;
         let edg = run_dbt(&img, &RunConfig::technique(TechniqueKind::EdgCf)).cycles as f64;
         assert!(
             (ecca / base) > 1.5 * (edg / base) - 0.5,

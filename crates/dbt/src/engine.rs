@@ -17,7 +17,7 @@ use crate::instrument::{regs, BlockView, Instrumenter, UpdateStyle};
 use crate::ir::{SideBranch, TraceOp};
 use crate::trace::{plan_trace, TierConfig, TraceCandidate};
 use cfed_isa::{Inst, INST_SIZE_U64};
-use cfed_sim::{trap_codes, Machine, Memory, Perms, Trap, PAGE_SIZE};
+use cfed_sim::{trap_codes, ExitReason, Machine, Memory, Perms, Trap, PAGE_SIZE};
 use cfed_telemetry::{Event, Histogram, Telemetry, Timer};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -72,6 +72,16 @@ pub enum DbtExit {
     StepLimit,
 }
 
+impl From<ExitReason> for DbtExit {
+    fn from(reason: ExitReason) -> DbtExit {
+        match reason {
+            ExitReason::Halted { code } => DbtExit::Halted { code },
+            ExitReason::Trapped(t) => DbtExit::Trapped(t),
+            ExitReason::StepLimit => DbtExit::StepLimit,
+        }
+    }
+}
+
 /// Execution statistics for a DBT session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbtStats {
@@ -87,8 +97,6 @@ pub struct DbtStats {
     pub dispatches: u64,
     /// Self-modifying-code flushes.
     pub smc_flushes: u64,
-    /// Unconditional jumps elided by trace formation (jump inlining).
-    pub inlined_jumps: u64,
     /// Full code-cache evictions (cache pressure flushed every block).
     pub cache_evictions: u64,
     /// Blocks translated again after their translation was discarded by an
@@ -124,7 +132,7 @@ pub struct TransBlock {
     /// after the instrumentation head).
     pub body_start: u64,
     /// Bytes of 1:1-copied body (excludes the translated terminator and its
-    /// glue). Zero for jump-inlined traces, whose bodies are discontiguous.
+    /// glue). Zero for tier-2 traces, whose bodies are discontiguous.
     pub body_len: u64,
 }
 
@@ -195,7 +203,6 @@ pub struct Dbt {
     blocks_by_page: HashMap<u64, Vec<u64>>,
     protected_pages: HashSet<u64>,
     pub(crate) dispatch_cycles: u64,
-    inline_jumps: bool,
     pub(crate) stats: DbtStats,
     pub(crate) attached: bool,
     /// Usable cache end; `set_cache_limit` lowers it to force eviction.
@@ -248,7 +255,6 @@ impl Clone for Dbt {
             blocks_by_page: self.blocks_by_page.clone(),
             protected_pages: self.protected_pages.clone(),
             dispatch_cycles: self.dispatch_cycles,
-            inline_jumps: self.inline_jumps,
             stats: self.stats,
             attached: self.attached,
             cache_limit: self.cache_limit,
@@ -341,7 +347,6 @@ impl Dbt {
             blocks_by_page: HashMap::new(),
             protected_pages: HashSet::new(),
             dispatch_cycles: DEFAULT_DISPATCH_CYCLES,
-            inline_jumps: false,
             stats: DbtStats::default(),
             attached: false,
             cache_limit,
@@ -365,14 +370,6 @@ impl Dbt {
     /// rewrite cache bytes under previously compiled host code.
     pub(crate) fn gen_key(&self) -> (u64, u64, u64, u64) {
         (self.flush_gen, self.stats.smc_flushes, self.stats.traces, self.stats.trace_disarms)
-    }
-
-    /// Enables backend trace formation: unconditional direct jumps are
-    /// elided and their targets fused into the current translation (blocks
-    /// become superblock-style traces). Off by default — the paper's
-    /// headline figures are measured block-at-a-time.
-    pub fn set_inline_jumps(&mut self, enable: bool) {
-        self.inline_jumps = enable;
     }
 
     /// Overrides the per-dispatch cycle charge (cost-model ablation).
@@ -413,7 +410,6 @@ impl Dbt {
                 .u64("chains", s.chains)
                 .u64("dispatches", s.dispatches)
                 .u64("smc_flushes", s.smc_flushes)
-                .u64("inlined_jumps", s.inlined_jumps)
                 .u64("cache_evictions", s.cache_evictions)
                 .u64("retranslations", s.retranslations)
                 .u64("dispatch_ic_hits", s.dispatch_ic_hits)
@@ -462,7 +458,7 @@ impl Dbt {
 
     /// Maps a cache address inside a translation's 1:1-copied body back to
     /// the guest instruction it mirrors. `None` for instrumentation heads,
-    /// translated terminators, exit glue and jump-inlined traces.
+    /// translated terminators, exit glue and tier-2 traces.
     fn guest_body_ip(&self, cache_ip: u64) -> Option<u64> {
         let b = self.block_containing(cache_ip)?;
         let off = cache_ip.checked_sub(b.body_start)?;
@@ -527,10 +523,10 @@ impl Dbt {
                     self.guest_body_ip(m.cpu.ip()).or_else(|| self.trace_guest_ip(m.cpu.ip()));
                 self.smc_flush(m, Memory::page_base(addr));
                 let Some(guest_store) = resume else {
-                    // Store came from glue or a jump-inlined trace: the old
-                    // path — it re-executes in cache against the
-                    // now-unprotected page; only *other* translations could
-                    // have been stale, and those were just flushed.
+                    // Store came from glue: it re-executes in cache
+                    // against the now-unprotected page; only *other*
+                    // translations could have been stale, and those were
+                    // just flushed.
                     return DbtStep::Continue;
                 };
                 m.cpu.set_ip(guest_store);
@@ -698,15 +694,10 @@ impl Dbt {
         }
         let timer = Timer::start();
 
-        // ---- decode the guest block (optionally extended into a trace) ----
+        // ---- decode the guest block ----
         let mut insts = Vec::new();
         let mut addr = guest_addr;
         let mut abort: Option<Trap> = None;
-        // Guest ranges covered (more than one when jump inlining stitches a
-        // trace together); used for page protection.
-        let mut ranges: Vec<Range<u64>> = Vec::new();
-        let mut seg_start = guest_addr;
-        let mut visited_segments = vec![guest_addr];
         let terminator = loop {
             if !self.guest_code.contains(&addr) {
                 abort = Some(Trap::PermExec { addr });
@@ -714,27 +705,6 @@ impl Dbt {
             }
             let bytes: [u8; 8] = m.mem.peek(addr, 8).try_into().expect("guest code in range");
             match Inst::decode(&bytes) {
-                Ok(inst @ Inst::Jmp { .. })
-                    if self.inline_jumps && insts.len() < MAX_BLOCK_INSTS =>
-                {
-                    // Backend trace formation: elide the unconditional jump
-                    // and keep decoding at its target, fusing the blocks
-                    // into one translation (the paper's Backend module
-                    // optimizes hot code similarly, §5).
-                    let target = inst.direct_target(addr).expect("direct");
-                    let ok = target % INST_SIZE_U64 == 0
-                        && self.guest_code.contains(&target)
-                        && !visited_segments.contains(&target)
-                        && !self.blocks.contains_key(&target);
-                    if !ok {
-                        break Some((inst, addr));
-                    }
-                    ranges.push(seg_start..addr + INST_SIZE_U64);
-                    self.stats.inlined_jumps += 1;
-                    visited_segments.push(target);
-                    seg_start = target;
-                    addr = target;
-                }
                 Ok(inst) if inst.is_terminator() => break Some((inst, addr)),
                 Ok(inst) => {
                     insts.push(inst);
@@ -750,7 +720,7 @@ impl Dbt {
             }
         };
         let guest_end = terminator.map_or(addr, |(_, taddr)| taddr + INST_SIZE_U64);
-        ranges.push(seg_start..guest_end.max(seg_start + INST_SIZE_U64));
+        let range = guest_addr..guest_end.max(guest_addr + INST_SIZE_U64);
         self.stats.guest_insts += insts.len() as u64 + terminator.is_some() as u64;
 
         let view = BlockView {
@@ -909,20 +879,16 @@ impl Dbt {
         // Record the block and protect its guest pages (SMC detection).
         let block = TransBlock {
             guest_start: guest_addr,
-            guest_len: ranges.iter().map(|r| r.end - r.start).sum(),
+            guest_len: range.end - range.start,
             cache_start,
             cache_end,
             body_start,
-            body_len: if visited_segments.len() == 1 {
-                insts.len() as u64 * INST_SIZE_U64
-            } else {
-                0
-            },
+            body_len: insts.len() as u64 * INST_SIZE_U64,
         };
         self.stats.blocks += 1;
         self.stats.cache_insts += (cache_end - cache_start) / INST_SIZE_U64;
         self.blocks.insert(guest_addr, block);
-        self.protect_ranges(m, guest_addr, &ranges);
+        self.protect_ranges(m, guest_addr, &[range]);
 
         self.cursor = cache_end;
         assert!(self.cursor <= self.cache_limit, "code cache exhausted");
@@ -958,11 +924,9 @@ impl Dbt {
     /// Allocates (or reuses) the tier-up counter slot for a block about to
     /// be translated and re-arms it to the compile threshold. `None` when
     /// the engine is untiered, the technique has no trace signature model,
-    /// jump inlining owns trace formation, or the slots are exhausted.
+    /// or the slots are exhausted.
     fn alloc_tier_counter(&mut self, m: &mut Machine, guest_addr: u64) -> Option<u64> {
-        if self.inline_jumps || self.instr.trace_sig().is_none() {
-            return None;
-        }
+        self.instr.trace_sig()?;
         let tier = self.tier.as_mut()?;
         let addr = match tier.slot_of.get(&guest_addr) {
             Some(&addr) => addr,

@@ -38,6 +38,7 @@ pub mod engine;
 pub mod instrument;
 pub mod ir;
 pub mod native;
+pub mod spec;
 pub mod trace;
 pub mod x86;
 
@@ -45,5 +46,6 @@ pub use cache::CacheAsm;
 pub use engine::{Dbt, DbtExit, DbtStats, DbtStep, TransBlock, DEFAULT_DISPATCH_CYCLES};
 pub use instrument::{regs, BlockView, CheckPolicy, Instrumenter, NullInstrumenter, UpdateStyle};
 pub use ir::{SideBranch, TraceOp, TracePlan, TraceSig, TraceVerifier};
-pub use native::{native_enabled, NativeDbt};
-pub use trace::{tier_enabled, TierConfig, DEFAULT_COMPILE_THRESHOLD};
+pub use native::NativeDbt;
+pub use spec::EngineSpec;
+pub use trace::{TierConfig, DEFAULT_COMPILE_THRESHOLD};

@@ -1393,23 +1393,14 @@ impl BlockAsm<'_> {
     }
 }
 
-/// Whether this build/host/environment can run the native backend at all
-/// (`x86-64 Linux`, and `CFED_NO_NATIVE` not set to a truthy value).
-pub fn native_enabled() -> bool {
-    let platform = cfg!(all(target_arch = "x86_64", target_os = "linux"));
-    let disabled =
-        std::env::var("CFED_NO_NATIVE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
-    platform && !disabled
-}
-
 /// A [`Dbt`] with a native x86-64 execution tier.
 ///
 /// Translation, chaining decisions, dispatch, SMC handling and all
 /// statistics remain the engine's; this wrapper only swaps the *execution*
 /// of translated cache code from the fused interpreter to compiled host
-/// code. Falls back to [`Dbt::run`] wholesale when the platform lacks RWX
-/// code buffers, `CFED_NO_NATIVE` is set, or a tracer is attached — results
-/// are bit-identical either way.
+/// code. Falls back to [`Dbt::run`] wholesale when constructed without
+/// native execution, when the platform lacks RWX code buffers, or when a
+/// tracer is attached — results are bit-identical either way.
 ///
 /// # Examples
 ///
@@ -1425,7 +1416,7 @@ pub fn native_enabled() -> bool {
 ///     Inst::Halt,
 /// ]);
 /// let mut m = Machine::load(&code, &[], 0);
-/// let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+/// let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, true, None);
 /// assert_eq!(dbt.run(&mut m, 10_000), DbtExit::Halted { code: 0 });
 /// ```
 pub struct NativeDbt {
@@ -1434,29 +1425,12 @@ pub struct NativeDbt {
 }
 
 impl NativeDbt {
-    /// Creates the engine; native execution is enabled when
-    /// [`native_enabled`] says the platform and environment allow it.
-    pub fn new(instr: Box<dyn Instrumenter>, style: UpdateStyle, m: &mut Machine) -> NativeDbt {
-        Self::with_native(instr, style, m, native_enabled())
-    }
-
-    /// As [`NativeDbt::new`] with an explicit native on/off switch (used by
-    /// harnesses that must not depend on ambient environment variables).
-    pub fn with_native(
-        instr: Box<dyn Instrumenter>,
-        style: UpdateStyle,
-        m: &mut Machine,
-        native: bool,
-    ) -> NativeDbt {
-        Self::with_options(instr, style, m, native, None)
-    }
-
-    /// As [`NativeDbt::with_native`], optionally constructing a tiered
-    /// engine (see [`Dbt::new_tiered`]) that promotes hot blocks to
-    /// optimized traces. Traces execute natively like any other
+    /// Creates the engine: natively executing when `native` is set (and
+    /// the platform can), tiered when `tier` is given (see
+    /// [`Dbt::new_tiered`]). Traces execute natively like any other
     /// translation: installs bump the generation key, which nukes and
     /// lazily recompiles host code.
-    pub fn with_options(
+    pub fn new(
         instr: Box<dyn Instrumenter>,
         style: UpdateStyle,
         m: &mut Machine,

@@ -57,17 +57,6 @@ impl TierConfig {
     }
 }
 
-/// Whether the trace tier is enabled for this process: set `CFED_NO_TIER=1`
-/// to force harnesses that would construct tiered engines to stay on tier-1
-/// (mirrors `CFED_NO_NATIVE` for the native backend). Guest-observable
-/// behavior is identical either way; only performance differs.
-pub fn tier_enabled() -> bool {
-    match std::env::var("CFED_NO_TIER") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    }
-}
-
 /// A walked trace: the verified-plan input plus the guest ranges it covers
 /// (for page protection and SMC demotion).
 #[derive(Debug, Clone)]

@@ -7,10 +7,16 @@
 
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use cfed_dbt::{Dbt, DbtExit, NativeDbt, NullInstrumenter, UpdateStyle};
+use cfed_dbt::{Dbt, DbtExit, EngineSpec, NativeDbt, NullInstrumenter, UpdateStyle};
 use cfed_isa::{encode_all, AluOp, Cond, Inst, Reg};
 use cfed_lang::compile;
 use cfed_sim::Machine;
+
+/// Whether the native backend runs on this host (not under
+/// `CFED_NO_NATIVE=1`, where the suite pins the fallback path instead).
+fn native_runs() -> bool {
+    EngineSpec::DbtNative.resolve().is_native()
+}
 
 struct Outcome {
     exit: DbtExit,
@@ -42,11 +48,13 @@ fn run_interp(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
 
 fn run_native(code: &[u8], data: &[u8], entry: u64, budget: u64) -> Outcome {
     let mut m = Machine::load(code, data, entry);
-    let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+    let native = native_runs();
+    let mut dbt =
+        NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, native, None);
     // On this platform the native tier must engage unless the environment
     // opts out; under CFED_NO_NATIVE=1 the suite still runs, pinning the
     // fallback path against the plain engine.
-    assert_eq!(dbt.is_native(), cfed_dbt::native_enabled(), "native tier gating");
+    assert_eq!(dbt.is_native(), native, "native tier gating");
     let exit = dbt.run(&mut m, budget);
     let s = m.cpu.stats();
     Outcome {
@@ -234,7 +242,8 @@ fn resume_after_step_limit_identical() {
     )
     .unwrap();
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m);
+    let mut dbt =
+        NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, native_runs(), None);
     let mut slices = 0u64;
     let exit = loop {
         match dbt.run(&mut m, 4500) {
@@ -326,7 +335,7 @@ fn smc_store_demotes_installed_trace() {
     let run_tiered = |native: bool| {
         let config = cfed_dbt::TierConfig::new(std::sync::Arc::new(AcceptAll)).with_threshold(16);
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-        let mut dbt = NativeDbt::with_options(
+        let mut dbt = NativeDbt::new(
             Box::new(NullInstrumenter),
             UpdateStyle::Jcc,
             &mut m,
@@ -347,7 +356,7 @@ fn smc_store_demotes_installed_trace() {
     assert!(stats.smc_flushes >= 1, "the patch store must flush: {stats:?}");
     assert!(stats.trace_demotions >= 1, "the flush must demote the trace: {stats:?}");
 
-    if cfed_dbt::native_enabled() {
+    if native_runs() {
         let native = run_tiered(true);
         assert_eq!(fused, native, "tiered fused and native must agree through demotion");
     }
@@ -410,12 +419,12 @@ fn cond_branch_matrix_identical() {
 
 #[test]
 fn no_native_fallback_is_equivalent() {
-    // `with_native(false)` must behave exactly like the plain engine (this
-    // is the CFED_NO_NATIVE path without the environment dependency).
+    // A `NativeDbt` built without native execution must behave exactly
+    // like the plain engine (the CFED_NO_NATIVE path without the
+    // environment dependency).
     let image = compile("fn main() { let i = 0; while (i < 100) { i = i + 1; } out(i); }").unwrap();
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt =
-        NativeDbt::with_native(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, false);
+    let mut dbt = NativeDbt::new(Box::new(NullInstrumenter), UpdateStyle::Jcc, &mut m, false, None);
     assert!(!dbt.is_native());
     let exit = dbt.run(&mut m, 1_000_000);
     let i = run_interp(image.code(), image.data(), image.entry_offset(), 1_000_000);

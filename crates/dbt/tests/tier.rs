@@ -4,7 +4,7 @@
 //! engine mechanics.
 
 use cfed_dbt::ir::{TracePlan, TraceVerifier};
-use cfed_dbt::{Dbt, DbtExit, NativeDbt, NullInstrumenter, TierConfig, UpdateStyle};
+use cfed_dbt::{Dbt, DbtExit, EngineSpec, NativeDbt, NullInstrumenter, TierConfig, UpdateStyle};
 use cfed_lang::compile;
 use cfed_sim::Machine;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,7 +130,7 @@ fn tiered_fused_and_native_agree_exactly() {
     let run = |native: bool| {
         let config = TierConfig::new(Arc::new(AcceptAll::default())).with_threshold(8);
         let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-        let mut dbt = NativeDbt::with_options(
+        let mut dbt = NativeDbt::new(
             Box::new(NullInstrumenter),
             UpdateStyle::Jcc,
             &mut m,
@@ -141,7 +141,7 @@ fn tiered_fused_and_native_agree_exactly() {
         (exit, m.cpu.take_output(), m.cpu.stats().cycles, m.cpu.stats().insts, dbt.stats())
     };
     let fused = run(false);
-    if !cfed_dbt::native_enabled() {
+    if !EngineSpec::DbtNative.resolve().is_native() {
         assert!(fused.4.traces >= 1);
         return; // native unavailable: nothing to compare against
     }

@@ -20,17 +20,17 @@
 //! *past* another block's signature check, a byte-misaligned gadget inside
 //! the current block, or a non-executable data page.
 
-use crate::campaign::{CampaignReport, SHARD_TRIALS};
+use crate::campaign::{shard_count, shard_len, shard_seed, CampaignReport};
 use crate::inject::{build, run_trial_inner, Golden, InjectionResult, WorkloadError};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{
-    classify_addr_fault, classify_flag_fault, trace_tier_config, BlockLayout, BranchFault,
-    CacheLayout, CachePart, Category, RunConfig,
+    classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, CachePart,
+    Category, Engine, RunConfig, RunOutcome,
 };
-use cfed_dbt::{Dbt, DbtExit, DbtStep, NativeDbt, NullInstrumenter, TransBlock};
+use cfed_dbt::{Dbt, DbtExit, DbtStep, EngineSpec, TransBlock};
 use cfed_isa::{Flags, Inst, INST_SIZE_U64};
-use cfed_sim::{ExitReason, Machine, Trap};
+use cfed_sim::Machine;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -473,22 +473,10 @@ impl AttackCampaign {
         AttackCampaign { config, kind, trials, seed: 0xCFED_2006 }
     }
 
-    /// Number of shards ([`SHARD_TRIALS`] trials each, last possibly short).
+    /// Number of shards — the same geometry as [`crate::Campaign`], so
+    /// attack shards are bit-identical however they are scheduled.
     pub fn num_shards(&self) -> u64 {
-        self.trials.div_ceil(SHARD_TRIALS)
-    }
-
-    /// Trials in shard `shard_index`.
-    pub fn shard_trials(&self, shard_index: u64) -> u64 {
-        let start = shard_index * SHARD_TRIALS;
-        SHARD_TRIALS.min(self.trials.saturating_sub(start))
-    }
-
-    /// Shard seed derivation — identical to [`crate::Campaign::shard_seed`],
-    /// so attack shards are bit-identical however they are scheduled.
-    pub fn shard_seed(&self, shard_index: u64) -> u64 {
-        let mut state = self.seed.wrapping_add(shard_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        rand::splitmix64(&mut state)
+        shard_count(self.trials)
     }
 
     /// Runs one shard against a precomputed golden reference.
@@ -525,9 +513,9 @@ impl AttackCampaign {
         shard_index: u64,
         mut observer: impl FnMut(AttackSpec, &InjectionResult),
     ) -> Result<CampaignReport, WorkloadError> {
-        let mut rng = StdRng::seed_from_u64(self.shard_seed(shard_index));
+        let mut rng = StdRng::seed_from_u64(shard_seed(self.seed, shard_index));
         let mut report = CampaignReport::new(golden.clone());
-        for _ in 0..self.shard_trials(shard_index) {
+        for _ in 0..shard_len(self.trials, shard_index) {
             let nth = rng.gen_range(0..golden.branches.max(1));
             let param = rng.gen::<u64>();
             let spec = AttackSpec { kind: self.kind, nth, param };
@@ -699,42 +687,6 @@ impl AttackModel {
     }
 }
 
-/// How a pause-style engine attack ended — normalized across the fused
-/// interpreter, the native backend and the plain interpreter so runs are
-/// directly comparable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttackExit {
-    /// Guest halted with this exit code.
-    Halted {
-        /// Exit code from `r0`.
-        code: u64,
-    },
-    /// A trap surfaced.
-    Trapped(Trap),
-    /// The resume budget ran out.
-    StepLimit,
-}
-
-impl From<DbtExit> for AttackExit {
-    fn from(e: DbtExit) -> AttackExit {
-        match e {
-            DbtExit::Halted { code } => AttackExit::Halted { code },
-            DbtExit::Trapped(t) => AttackExit::Trapped(t),
-            DbtExit::StepLimit => AttackExit::StepLimit,
-        }
-    }
-}
-
-impl From<ExitReason> for AttackExit {
-    fn from(e: ExitReason) -> AttackExit {
-        match e {
-            ExitReason::Halted { code } => AttackExit::Halted { code },
-            ExitReason::Trapped(t) => AttackExit::Trapped(t),
-            ExitReason::StepLimit => AttackExit::StepLimit,
-        }
-    }
-}
-
 /// Outcome of one pause/seize/resume engine attack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PauseAttack {
@@ -742,7 +694,7 @@ pub struct PauseAttack {
     /// `false`, the run is the unattacked continuation).
     pub placed: bool,
     /// How the run ended.
-    pub exit: AttackExit,
+    pub exit: DbtExit,
     /// Observable output stream.
     pub output: Vec<u64>,
     /// Instructions retired in total.
@@ -753,39 +705,54 @@ impl PauseAttack {
     /// Whether the attack was caught — by a signature check or by the
     /// hardware (category-F) path.
     pub fn detected(&self) -> bool {
-        matches!(&self.exit, AttackExit::Trapped(t)
+        matches!(&self.exit, DbtExit::Trapped(t)
             if t.is_cfe_report() || t.is_hardware_cfe_detection())
     }
 }
 
-/// Mounts a pause-style attack on a DBT engine: run `pause` instructions,
-/// seize the program counter with the archetype's target (selected from the
-/// live translated-code geometry), resume to an outcome. Works identically
-/// on the fused interpreter and the native backend — both resume purely
-/// from the architectural program counter — which is what the cross-engine
-/// differential tests and the fuzz oracle compare. `flip-branch` is not a
-/// program-counter seizure and is never placed here.
+/// Mounts a pause-style attack on the engine `spec` (built as named, see
+/// [`Engine::new`]): run `pause` instructions, seize the program counter
+/// with the archetype's target, resume for up to `cfg.max_insts`
+/// instructions. On the DBT engines the target comes from the live
+/// translated-code geometry, and every DBT engine resumes purely from the
+/// architectural program counter — which is what the cross-engine
+/// differential tests and the fuzz oracle compare. On the interpreter
+/// engines there is no translated code: targets come from the *guest*
+/// control-flow graph, measuring the hardware-only detection floor of an
+/// uninstrumented run. `flip-branch` is not a program-counter seizure and
+/// is never placed here.
 pub fn pause_attack(
     image: &Image,
     cfg: &RunConfig,
     kind: AttackKind,
     param: u64,
     pause: u64,
-    native: bool,
-    tier_threshold: Option<u32>,
+    spec: EngineSpec,
 ) -> PauseAttack {
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(k) => k.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let tier = tier_threshold.and_then(|t| trace_tier_config(cfg, t));
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::with_options(instr, cfg.style, &mut m, native, tier);
-    let (placed, exit) = match dbt.run(&mut m, pause) {
+    let mut engine = Engine::new(image, cfg, spec);
+    let (placed, exit) = match engine.run(pause) {
         DbtExit::StepLimit => {
-            let ip = m.cpu.ip();
-            let mut blocks: Vec<TransBlock> = dbt.dbt().blocks().copied().collect();
-            blocks.sort_by_key(|b| b.cache_start);
+            let ip = engine.machine.cpu.ip();
+            let blocks: Vec<TransBlock> = match &engine.dbt {
+                Some(dbt) => {
+                    let mut blocks: Vec<TransBlock> = dbt.dbt().blocks().copied().collect();
+                    blocks.sort_by_key(|b| b.cache_start);
+                    blocks
+                }
+                // Mirror the cache-space selection over guest blocks.
+                None => cfed_core::cfg::Cfg::recover(image)
+                    .blocks()
+                    .iter()
+                    .map(|b| TransBlock {
+                        guest_start: b.start,
+                        guest_len: b.end - b.start,
+                        cache_start: b.start,
+                        cache_end: b.end,
+                        body_start: b.start,
+                        body_len: b.end - b.start,
+                    })
+                    .collect(),
+            };
             let own = blocks
                 .iter()
                 .find(|b| b.cache_range().contains(&ip))
@@ -799,77 +766,18 @@ pub fn pause_attack(
                 own,
                 blocks: &blocks,
                 image,
-                data_base: m.layout().data_base,
+                data_base: engine.machine.layout().data_base,
             };
-            match select_target(kind, param, &ctx).filter(|&t| t != ip) {
-                Some(t) => {
-                    m.cpu.set_ip(t);
-                    (true, dbt.run(&mut m, cfg.max_insts))
-                }
-                None => (false, dbt.run(&mut m, cfg.max_insts)),
+            let target = select_target(kind, param, &ctx).filter(|&t| t != ip);
+            if let Some(t) = target {
+                engine.machine.cpu.set_ip(t);
             }
+            (target.is_some(), engine.run(cfg.max_insts))
         }
         other => (false, other),
     };
-    PauseAttack {
-        placed,
-        exit: exit.into(),
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-    }
-}
-
-/// The plain-interpreter counterpart of [`pause_attack`]: targets come from
-/// the *guest* control-flow graph (there is no translated code), so this
-/// measures the hardware-only detection floor of an uninstrumented run.
-pub fn pause_attack_interp(image: &Image, kind: AttackKind, param: u64, pause: u64) -> PauseAttack {
-    let cfg = cfed_core::cfg::Cfg::recover(image);
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let (placed, exit) = match m.run(pause) {
-        ExitReason::StepLimit => {
-            let ip = m.cpu.ip();
-            // Mirror the cache-space selection over guest blocks.
-            let blocks: Vec<TransBlock> = cfg
-                .blocks()
-                .iter()
-                .map(|b| TransBlock {
-                    guest_start: b.start,
-                    guest_len: b.end - b.start,
-                    cache_start: b.start,
-                    cache_end: b.end,
-                    body_start: b.start,
-                    body_len: b.end - b.start,
-                })
-                .collect();
-            let own = blocks
-                .iter()
-                .find(|b| b.cache_range().contains(&ip))
-                .map(|b| b.cache_start..b.cache_end);
-            let ctx = TargetCtx {
-                site: ip,
-                correct: ip,
-                fall: ip,
-                own,
-                blocks: &blocks,
-                image,
-                data_base: m.layout().data_base,
-            };
-            match select_target(kind, param, &ctx).filter(|&t| t != ip) {
-                Some(t) => {
-                    m.cpu.set_ip(t);
-                    (true, m.run(10_000_000))
-                }
-                None => (false, m.run(10_000_000)),
-            }
-        }
-        other => (false, other),
-    };
-    PauseAttack {
-        placed,
-        exit: exit.into(),
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-    }
+    let RunOutcome { output, insts, .. } = engine.outcome(exit);
+    PauseAttack { placed, exit, output, insts }
 }
 
 #[cfg(test)]
@@ -877,7 +785,6 @@ mod tests {
     use super::*;
     use crate::inject::Outcome;
     use cfed_core::TechniqueKind;
-    use cfed_dbt::native_enabled;
     use cfed_lang::compile;
 
     fn image() -> Image {
@@ -1049,11 +956,10 @@ mod tests {
                 continue;
             }
             for pause in [900u64, 2400] {
-                let fused = pause_attack(&img, &cfg, kind, 7, pause, false, None);
-                if native_enabled() {
-                    let native = pause_attack(&img, &cfg, kind, 7, pause, true, None);
-                    assert_eq!(fused, native, "{kind} pause={pause}");
-                }
+                let fused = pause_attack(&img, &cfg, kind, 7, pause, EngineSpec::DbtFused);
+                let native =
+                    pause_attack(&img, &cfg, kind, 7, pause, EngineSpec::DbtNative.resolve());
+                assert_eq!(fused, native, "{kind} pause={pause}");
             }
         }
     }
@@ -1061,9 +967,10 @@ mod tests {
     #[test]
     fn interp_pause_attack_runs() {
         let img = image();
+        let cfg = RunConfig { max_insts: 10_000_000, ..RunConfig::baseline() };
         let mut placed = 0;
         for kind in [AttackKind::DataPivot, AttackKind::RetGadget, AttackKind::GadgetEntry] {
-            let r = pause_attack_interp(&img, kind, 3, 500);
+            let r = pause_attack(&img, &cfg, kind, 3, 500, EngineSpec::InterpFused);
             if r.placed {
                 placed += 1;
             }

@@ -81,6 +81,24 @@ impl CategoryStats {
 /// whether the shards run serially here or spread over a worker pool.
 pub const SHARD_TRIALS: u64 = 64;
 
+/// Shards in a campaign of `trials` ([`SHARD_TRIALS`] trials each, last
+/// shard possibly smaller). The shard geometry below is shared by fault
+/// and attack campaigns.
+pub(crate) fn shard_count(trials: u64) -> u64 {
+    trials.div_ceil(SHARD_TRIALS)
+}
+
+/// Trials in shard `shard_index` of a campaign of `trials`.
+pub(crate) fn shard_len(trials: u64, shard_index: u64) -> u64 {
+    SHARD_TRIALS.min(trials.saturating_sub(shard_index * SHARD_TRIALS))
+}
+
+/// The RNG seed of shard `shard_index` (see [`Campaign::shard_seed`]).
+pub(crate) fn shard_seed(seed: u64, shard_index: u64) -> u64 {
+    let mut state = seed.wrapping_add(shard_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    rand::splitmix64(&mut state)
+}
+
 /// A randomized injection campaign over one image + DBT configuration.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -101,14 +119,13 @@ impl Campaign {
     /// Number of shards this campaign splits into ([`SHARD_TRIALS`] trials
     /// each, last shard possibly smaller).
     pub fn num_shards(&self) -> u64 {
-        self.trials.div_ceil(SHARD_TRIALS)
+        shard_count(self.trials)
     }
 
     /// Trials in shard `shard_index` (all [`SHARD_TRIALS`] except a
     /// possibly-short final shard).
     pub fn shard_trials(&self, shard_index: u64) -> u64 {
-        let start = shard_index * SHARD_TRIALS;
-        SHARD_TRIALS.min(self.trials.saturating_sub(start))
+        shard_len(self.trials, shard_index)
     }
 
     /// The RNG seed of shard `shard_index`: the `shard_index`-th output of
@@ -117,8 +134,7 @@ impl Campaign {
     /// scheduling order — which is what makes sharded execution
     /// bit-identical to the serial path.
     pub fn shard_seed(&self, shard_index: u64) -> u64 {
-        let mut state = self.seed.wrapping_add(shard_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        rand::splitmix64(&mut state)
+        shard_seed(self.seed, shard_index)
     }
 
     /// Runs one shard against a precomputed golden reference, replaying

@@ -14,7 +14,7 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, Category,
     RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStep, NullInstrumenter};
+use cfed_dbt::{Dbt, DbtStep};
 use cfed_isa::{Flags, INST_SIZE_U64};
 use cfed_sim::{Machine, Trap};
 
@@ -221,11 +221,7 @@ pub(crate) fn golden_inner(
 
 pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match cfg.technique {
-        Some(kind) => kind.instrumenter_for(image, cfg.policy),
-        None => Box::new(NullInstrumenter),
-    };
-    let mut dbt = Dbt::new(instr, cfg.style, &mut m);
+    let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
     // Attach eagerly: branch counting and fault placement must happen on
     // translated code, never on raw guest bytes (a fault applied to guest
     // memory would be baked into the translation permanently).
@@ -274,34 +270,20 @@ pub fn inject_with(
     Ok(inject_inner(image, cfg, spec, golden, None, snapshots)?.map(|(r, _)| r))
 }
 
-/// As [`inject`], but with an execution tracer of `capacity` instructions
-/// attached, returning the result alongside the tracer at its final state
-/// — the last-N window ends at the detection point (the trapping
-/// instruction itself never commits, hence never appears). Injection is
-/// deterministic, so re-running a plain [`inject`] trial through here
-/// reproduces the identical outcome with forensics attached.
+/// As [`inject_with`], but with an execution tracer of `capacity`
+/// instructions attached, returning the result alongside the tracer at its
+/// final state — the last-N window ends at the detection point (the
+/// trapping instruction itself never commits, hence never appears).
+/// Injection is deterministic, so re-running a plain [`inject`] trial
+/// through here reproduces the identical outcome with forensics attached.
 ///
-/// # Errors
-///
-/// As [`inject`].
-pub fn inject_traced(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: FaultSpec,
-    golden: &Golden,
-    capacity: usize,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer)>, WorkloadError> {
-    inject_traced_with(image, cfg, spec, golden, capacity, None)
-}
-
-/// As [`inject_traced`] with fast-forward (see [`inject_with`]). The trace
-/// stays bit-identical to the from-scratch path: only checkpoints at least
-/// `capacity` branches before the injection point are used (every branch
-/// is an instruction, so at least `capacity` instructions and `capacity`
-/// branches retire between restore and injection, filling both tracer
-/// rings with exactly the entries the from-scratch run would hold), and
-/// the tracer's retired counter resumes from the checkpoint's instruction
-/// count.
+/// With `snapshots`, the trace stays bit-identical to the from-scratch
+/// path: only checkpoints at least `capacity` branches before the
+/// injection point are used (every branch is an instruction, so at least
+/// `capacity` instructions and `capacity` branches retire between restore
+/// and injection, filling both tracer rings with exactly the entries the
+/// from-scratch run would hold), and the tracer's retired counter resumes
+/// from the checkpoint's instruction count.
 ///
 /// # Errors
 ///

@@ -38,8 +38,8 @@ pub mod inject;
 pub mod snapshot;
 
 pub use attack::{
-    attack, attack_traced_with, attack_with, pause_attack, pause_attack_interp, AttackCampaign,
-    AttackExit, AttackKind, AttackModel, AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
+    attack, attack_traced_with, attack_with, pause_attack, AttackCampaign, AttackKind, AttackModel,
+    AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
 };
 pub use campaign::{
     Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid, SHARD_TRIALS,
@@ -47,7 +47,7 @@ pub use campaign::{
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
 pub use forensics::{AttackForensics, ForensicsBundle, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    golden_run, inject, inject_traced, inject_traced_with, inject_with, FaultSpec, Golden,
-    InjectionResult, Outcome, WorkloadError,
+    golden_run, inject, inject_traced_with, inject_with, FaultSpec, Golden, InjectionResult,
+    Outcome, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

@@ -24,9 +24,10 @@
 //!
 //! [`RegressionMode::Attack`]: crate::corpus::RegressionMode::Attack
 
+use crate::oracle::TIER_THRESHOLD;
 use cfed_asm::Image;
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_dbt::UpdateStyle;
+use cfed_dbt::{EngineSpec, UpdateStyle};
 use cfed_fault::{pause_attack, AttackKind, PauseAttack};
 use rand::{Rng, SeedableRng as _, StdRng};
 
@@ -34,10 +35,6 @@ use rand::{Rng, SeedableRng as _, StdRng};
 /// `cfed-fuzz run --attacks`, `cfed-fuzz replay` and the regressions test
 /// so an archived reproducer replays the exact schedule that found it.
 pub const ATTACK_TRIALS: u64 = 6;
-
-/// Promotion threshold for the tiered attack pair, matching the
-/// differential oracle's [`crate::oracle::TIER_THRESHOLD`].
-const TIER_THRESHOLD: u32 = 4;
 
 /// The configurations attacks are scheduled against: the uninstrumented
 /// baseline, the paper techniques under both styles, and one prior-work
@@ -140,6 +137,11 @@ fn diff_pause(a: &PauseAttack, b: &PauseAttack) -> Option<(String, String)> {
     None
 }
 
+/// Whether the trace tier survives this host's kill switches.
+fn tier_runs() -> bool {
+    EngineSpec::DbtTierFused(TIER_THRESHOLD).resolve().is_tiered()
+}
+
 /// Mounts one trial's engine pairs and returns the first mismatch.
 /// `(placed, finding)` — `placed` reflects the untiered fused run.
 fn run_trial(
@@ -152,9 +154,9 @@ fn run_trial(
     max_insts: u64,
 ) -> (bool, Option<AttackFinding>) {
     let cfg = trial_config(technique, style, max_insts);
-    let native = cfed_dbt::native_enabled();
-    let fused = pause_attack(image, &cfg, kind, param, pause, false, None);
-    let native_run = pause_attack(image, &cfg, kind, param, pause, native, None);
+    let mount = |spec: EngineSpec| pause_attack(image, &cfg, kind, param, pause, spec.resolve());
+    let fused = mount(EngineSpec::DbtFused);
+    let native_run = mount(EngineSpec::DbtNative);
     let finding = |tiered: bool, (field, detail): (String, String)| AttackFinding {
         technique,
         style,
@@ -169,13 +171,11 @@ fn run_trial(
         return (fused.placed, Some(finding(false, d)));
     }
     // Tiered pair: only for configs the trace verifier can promote, and
-    // only when the tier's ambient kill switch is off (`pause_attack`'s
-    // tier config is caller-gated, like the differential oracle's).
+    // only when the tier runs on this host at all.
     let tier_capable = technique.is_none_or(TechniqueKind::supports_trace_tier);
-    if tier_capable && cfed_dbt::tier_enabled() {
-        let threshold = Some(TIER_THRESHOLD);
-        let tf = pause_attack(image, &cfg, kind, param, pause, false, threshold);
-        let tn = pause_attack(image, &cfg, kind, param, pause, native, threshold);
+    if tier_capable && tier_runs() {
+        let tf = mount(EngineSpec::DbtTierFused(TIER_THRESHOLD));
+        let tn = mount(EngineSpec::DbtTierNative(TIER_THRESHOLD));
         if let Some(d) = diff_pause(&tf, &tn) {
             return (fused.placed, Some(finding(true, d)));
         }
@@ -223,19 +223,18 @@ pub fn attack_sweep(image: &Image, seed: u64, trials: u64, max_insts: u64) -> At
 /// `image` — the shrinker's predicate (2–4 runs instead of the schedule).
 pub fn finding_reproduces(image: &Image, finding: &AttackFinding, max_insts: u64) -> bool {
     let cfg = trial_config(finding.technique, finding.style, max_insts);
-    let native = cfed_dbt::native_enabled();
-    let threshold = if finding.tiered {
-        if !cfed_dbt::tier_enabled() {
+    let (left, right) = if finding.tiered {
+        if !tier_runs() {
             return false; // the tiered pair degenerated; nothing to compare
         }
-        Some(TIER_THRESHOLD)
+        (EngineSpec::DbtTierFused(TIER_THRESHOLD), EngineSpec::DbtTierNative(TIER_THRESHOLD))
     } else {
-        None
+        (EngineSpec::DbtFused, EngineSpec::DbtNative)
     };
-    let left =
-        pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, false, threshold);
-    let right =
-        pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, native, threshold);
+    let mount = |spec: EngineSpec| {
+        pause_attack(image, &cfg, finding.kind, finding.param, finding.pause, spec.resolve())
+    };
+    let (left, right) = (mount(left), mount(right));
     diff_pause(&left, &right).is_some()
 }
 

@@ -4,15 +4,15 @@
 //! behaviours the stack's counters can distinguish: which opcode classes
 //! executed, how the run ended, whether the decode cache hit / missed /
 //! invalidated, which DBT mechanisms fired (SMC flushes, retranslations,
-//! evictions, jump inlining, chaining, dispatch inline-cache hits) and
-//! log-bucketed magnitudes (blocks translated, output length, retired
-//! instructions). A program is retained in the corpus iff its fingerprint
-//! sets a bit no earlier program set — cheap, deterministic, and directly
-//! tied to the counters `cfed-telemetry` exports.
+//! evictions, chaining, dispatch inline-cache hits) and log-bucketed
+//! magnitudes (blocks translated, output length, retired instructions). A
+//! program is retained in the corpus iff its fingerprint sets a bit no
+//! earlier program set — cheap, deterministic, and directly tied to the
+//! counters `cfed-telemetry` exports.
 
 use crate::gen::GeneratedProgram;
-use crate::oracle::{Engine, OracleReport};
-use cfed_dbt::DbtExit;
+use crate::oracle::OracleReport;
+use cfed_dbt::{DbtExit, EngineSpec};
 use cfed_isa::Inst;
 use cfed_sim::{Machine, Step, Trap};
 
@@ -22,7 +22,7 @@ use cfed_sim::{Machine, Step, Trap};
 /// * 32–41: exit kind (halt, step-limit, one bit per trap variant)
 /// * 44–46: decode cache hits / misses / invalidations observed
 /// * 48–54: DBT counters nonzero (smc_flushes, retranslations,
-///   cache_evictions, inlined_jumps, chains, dispatch_ic_hits, dispatches)
+///   cache_evictions, 51 unused, chains, dispatch_ic_hits, dispatches)
 /// * 56–59: log₂ bucket of blocks translated
 /// * 60–63: log₂ bucket of output length
 /// * 64–69: log₂ bucket of retired instructions
@@ -138,23 +138,21 @@ pub fn fingerprint(prog: &GeneratedProgram, report: &OracleReport, max_insts: u6
     // DBT mechanism bits and magnitude buckets from the uninstrumented
     // block-fused run — the canonical translator behaviour of the program.
     if let Some(base) =
-        report.runs.iter().find(|r| r.id.engine == Engine::DbtFused && r.id.technique.is_none())
+        report.runs.iter().find(|r| r.id.engine == EngineSpec::DbtFused && r.id.technique.is_none())
     {
         if let Some(s) = &base.dbt {
-            for (i, v) in [
-                s.smc_flushes,
-                s.retranslations,
-                s.cache_evictions,
-                s.inlined_jumps,
-                s.chains,
-                s.dispatch_ic_hits,
-                s.dispatches,
-            ]
-            .iter()
-            .enumerate()
-            {
-                if *v > 0 {
-                    bits |= 1u128 << (48 + i as u32);
+            // Bit 51 stays unused: it belonged to a retired counter, and
+            // keeping the others in place keeps fixed-seed reports stable.
+            for (bit, v) in [
+                (48, s.smc_flushes),
+                (49, s.retranslations),
+                (50, s.cache_evictions),
+                (52, s.chains),
+                (53, s.dispatch_ic_hits),
+                (54, s.dispatches),
+            ] {
+                if v > 0 {
+                    bits |= 1u128 << bit;
                 }
             }
             bits |= 1u128 << (56 + log2_bucket(s.blocks));

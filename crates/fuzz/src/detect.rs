@@ -31,7 +31,7 @@
 //! `Halt`, where zero instructions separate the fault from program end), so
 //! no software-only signature scheme can see it. [`InjectionResult`] flags
 //! these landings; `latency_insts <= 1` is kept as a backstop for
-//! jump-inlined traces whose body layout is unknown to the classifier.
+//! tier-2 traces whose body layout is unknown to the classifier.
 //!
 //! [`InjectionResult`]: cfed_fault::InjectionResult
 //!

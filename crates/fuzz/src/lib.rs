@@ -35,7 +35,6 @@ pub use coverage::{fingerprint, profile_classes, CoverageMap, Fingerprint};
 pub use detect::{detection_sweep, violation_reproduces, DetectOutcome, SdcViolation};
 pub use gen::{generate, minic_source, schedule_seed, visa_image, GeneratedProgram, Tier};
 pub use oracle::{
-    backend_ids, exits_compatible, pair_diverges, run_oracle, BackendId, Divergence, Engine,
-    OracleReport,
+    backend_ids, exits_compatible, pair_diverges, run_oracle, BackendId, Divergence, OracleReport,
 };
 pub use shrink::{rebuild_image, shrink_image};

@@ -27,12 +27,9 @@
 
 use crate::gen::{GeneratedProgram, Tier};
 use cfed_asm::Image;
-use cfed_core::{PlacementVerifier, TechniqueKind};
-use cfed_dbt::{
-    CheckPolicy, Dbt, DbtExit, DbtStats, NativeDbt, NullInstrumenter, TierConfig, UpdateStyle,
-};
-use cfed_sim::{Cpu, ExitReason, Machine, Trap};
-use std::sync::Arc;
+use cfed_core::{Engine, RunConfig, RunOutcome, TechniqueKind};
+use cfed_dbt::{DbtExit, DbtStats, EngineSpec, NativeDbt, UpdateStyle};
+use cfed_sim::{Cpu, Trap};
 
 /// Promotion threshold for the trace-tier backends: low enough that even
 /// small generated loops tier up mid-run, exercising trace formation, side
@@ -43,8 +40,12 @@ pub const TIER_THRESHOLD: u32 = 4;
 /// Identifies one backend in the oracle matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendId {
-    /// Execution engine + dispatch flavour.
-    pub engine: Engine,
+    /// Execution engine, as requested: the oracle runs its
+    /// [`EngineSpec::resolve`]d form, so under `CFED_NO_NATIVE=1` or
+    /// `CFED_NO_TIER=1` a backend degrades to an engine it must still agree
+    /// with. Tiered engines are instantiated only for configs whose check
+    /// placement the trace verifier understands (uninstrumented and EdgCF).
+    pub engine: EngineSpec,
     /// Technique, or `None` for uninstrumented (always `None` for the
     /// interpreter engines, which cannot carry instrumentation).
     pub technique: Option<TechniqueKind>,
@@ -52,49 +53,10 @@ pub struct BackendId {
     pub style: UpdateStyle,
 }
 
-/// The execution paths of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Interpreter, decode cache off.
-    InterpRaw,
-    /// Interpreter, pre-decoded block-fused dispatch.
-    InterpFused,
-    /// DBT translating into per-step cache execution.
-    DbtStep,
-    /// DBT with block-fused cache execution.
-    DbtFused,
-    /// DBT with the native x86-64 backend (falls back to block-fused cache
-    /// execution, bit-identically, where the backend is unavailable).
-    DbtNative,
-    /// Tiered DBT (trace formation at [`TIER_THRESHOLD`]) executing through
-    /// the fused cache. Only instantiated for configs whose check placement
-    /// the trace verifier understands (uninstrumented and EdgCF); under
-    /// `CFED_NO_TIER=1` it degrades to plain block-fused execution.
-    DbtTierFused,
-    /// Tiered DBT executing through the native backend, with the same
-    /// fallbacks as [`Engine::DbtNative`] and [`Engine::DbtTierFused`].
-    DbtTierNative,
-}
-
-impl Engine {
-    /// Whether this engine runs the profile-guided trace tier.
-    pub fn is_tiered(self) -> bool {
-        matches!(self, Engine::DbtTierFused | Engine::DbtTierNative)
-    }
-}
-
 impl BackendId {
     /// Stable human-readable label used in reports and divergence records.
     pub fn label(&self) -> String {
-        let engine = match self.engine {
-            Engine::InterpRaw => "interp-raw",
-            Engine::InterpFused => "interp-fused",
-            Engine::DbtStep => "dbt-step",
-            Engine::DbtFused => "dbt-fused",
-            Engine::DbtNative => "dbt-native",
-            Engine::DbtTierFused => "dbt-tier-fused",
-            Engine::DbtTierNative => "dbt-tier-native",
-        };
+        let engine = self.engine.label();
         match self.technique {
             None => engine.to_string(),
             Some(t) => {
@@ -169,55 +131,14 @@ fn config_supports_tier(technique: Option<TechniqueKind>) -> bool {
     technique.is_none_or(TechniqueKind::supports_trace_tier)
 }
 
-fn load(image: &Image) -> Machine {
-    Machine::load(image.code(), image.data(), image.entry_offset())
-}
-
-fn exit_of(reason: ExitReason) -> DbtExit {
-    match reason {
-        ExitReason::Halted { code } => DbtExit::Halted { code },
-        ExitReason::Trapped(t) => DbtExit::Trapped(t),
-        ExitReason::StepLimit => DbtExit::StepLimit,
-    }
-}
-
-fn run_interp(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
-    let mut m = load(image);
-    m.set_decode_cache(matches!(id.engine, Engine::InterpFused));
-    let exit = exit_of(m.run(max_insts));
-    finish(id, exit, m, None)
-}
-
-fn run_dbt_engine(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
-    let mut m = load(image);
-    // Per-step vs block-fused is selected by the decode cache's presence at
-    // translator attach time (the DBT fuses only when the machine fuses);
-    // the native backend requires the fused cache underneath it.
-    m.set_decode_cache(!matches!(id.engine, Engine::DbtStep));
-    let instr: Box<dyn cfed_dbt::Instrumenter> = match id.technique {
-        Some(kind) => kind.instrumenter_for(image, CheckPolicy::AllBb),
-        None => Box::new(NullInstrumenter),
-    };
-    if matches!(id.engine, Engine::DbtNative | Engine::DbtTierFused | Engine::DbtTierNative) {
-        let native = matches!(id.engine, Engine::DbtNative | Engine::DbtTierNative)
-            && cfed_dbt::native_enabled();
-        let tier = (id.engine.is_tiered() && cfed_dbt::tier_enabled())
-            .then(|| TierConfig::new(Arc::new(PlacementVerifier)).with_threshold(TIER_THRESHOLD));
-        let mut dbt = NativeDbt::with_options(instr, id.style, &mut m, native, tier);
-        let exit = dbt.run(&mut m, max_insts);
-        let stats = dbt.stats();
-        return finish(id, exit, m, Some(stats));
-    }
-    let mut dbt = Dbt::new(instr, id.style, &mut m);
-    let exit = dbt.run(&mut m, max_insts);
-    finish(id, exit, m, Some(dbt.stats()))
-}
-
-fn finish(id: BackendId, exit: DbtExit, mut m: Machine, dbt: Option<DbtStats>) -> BackendRun {
-    let output = m.cpu.take_output();
-    let cycles = m.cpu.stats().cycles;
-    let insts = m.cpu.stats().insts;
-    BackendRun { id, exit, output, cycles, insts, cpu: m.cpu, dbt }
+fn run_backend(image: &Image, id: BackendId, max_insts: u64) -> BackendRun {
+    let cfg =
+        RunConfig { technique: id.technique, style: id.style, max_insts, ..RunConfig::default() };
+    let mut engine = Engine::new(image, &cfg, id.engine.resolve());
+    let exit = engine.run(max_insts);
+    let dbt = engine.dbt.as_ref().map(NativeDbt::stats);
+    let RunOutcome { output, cycles, insts, .. } = engine.outcome(exit);
+    BackendRun { id, exit, output, cycles, insts, cpu: engine.machine.cpu, dbt }
 }
 
 /// Exit compatibility across engines, where instrumentation shifts
@@ -402,53 +323,26 @@ fn divergence(a: &BackendRun, b: &BackendRun, field: &str, detail: String) -> Di
 /// divergent pair.
 pub fn run_oracle(prog: &GeneratedProgram, max_insts: u64) -> OracleReport {
     let image = &prog.image;
-    let base_style = UpdateStyle::Jcc;
-    let raw = run_interp(
-        image,
-        BackendId { engine: Engine::InterpRaw, technique: None, style: base_style },
-        max_insts,
-    );
-    let fused = run_interp(
-        image,
-        BackendId { engine: Engine::InterpFused, technique: None, style: base_style },
-        max_insts,
-    );
-
+    let run = |engine, technique, style| {
+        run_backend(image, BackendId { engine, technique, style }, max_insts)
+    };
+    let raw = run(EngineSpec::InterpRaw, None, UpdateStyle::Jcc);
+    let fused = run(EngineSpec::InterpFused, None, UpdateStyle::Jcc);
+    let mut divergence = diff_exact_cpu(&raw, &fused);
     let mut runs = vec![raw, fused];
-    let mut divergence = diff_exact_cpu(&runs[0], &runs[1]);
 
     for (technique, style) in technique_matrix() {
-        let step = run_dbt_engine(
-            image,
-            BackendId { engine: Engine::DbtStep, technique, style },
-            max_insts,
-        );
-        let fused_dbt = run_dbt_engine(
-            image,
-            BackendId { engine: Engine::DbtFused, technique, style },
-            max_insts,
-        );
-        let native_dbt = run_dbt_engine(
-            image,
-            BackendId { engine: Engine::DbtNative, technique, style },
-            max_insts,
-        );
+        let step = run(EngineSpec::DbtStep, technique, style);
+        let fused_dbt = run(EngineSpec::DbtFused, technique, style);
+        let native_dbt = run(EngineSpec::DbtNative, technique, style);
         if divergence.is_none() {
             divergence = diff_dispatch_pair(&step, &fused_dbt)
                 .or_else(|| diff_dispatch_pair(&fused_dbt, &native_dbt))
                 .or_else(|| diff_cross_engine(&runs[0], &fused_dbt, prog.tier));
         }
         let tiered = config_supports_tier(technique).then(|| {
-            let tf = run_dbt_engine(
-                image,
-                BackendId { engine: Engine::DbtTierFused, technique, style },
-                max_insts,
-            );
-            let tn = run_dbt_engine(
-                image,
-                BackendId { engine: Engine::DbtTierNative, technique, style },
-                max_insts,
-            );
+            let tf = run(EngineSpec::DbtTierFused(TIER_THRESHOLD), technique, style);
+            let tn = run(EngineSpec::DbtTierNative(TIER_THRESHOLD), technique, style);
             (tf, tn)
         });
         if let Some((tf, tn)) = &tiered {
@@ -477,27 +371,22 @@ pub fn pair_diverges(image: &Image, left: &str, right: &str, tier: Tier, max_ins
     let all = backend_ids();
     let Some(a) = all.iter().find(|b| b.label() == left) else { return false };
     let Some(b) = all.iter().find(|b| b.label() == right) else { return false };
-    let run = |id: &BackendId| match id.engine {
-        Engine::InterpRaw | Engine::InterpFused => run_interp(image, *id, max_insts),
-        _ => run_dbt_engine(image, *id, max_insts),
-    };
-    let (ra, rb) = (run(a), run(b));
+    let (ra, rb) = (run_backend(image, *a, max_insts), run_backend(image, *b, max_insts));
     diff_for_pair(&ra, &rb, tier).is_some()
 }
 
 /// Every backend id of the matrix, in matrix order.
 pub fn backend_ids() -> Vec<BackendId> {
+    let [raw, fused, dbt @ ..] = EngineSpec::all(TIER_THRESHOLD);
     let mut ids = vec![
-        BackendId { engine: Engine::InterpRaw, technique: None, style: UpdateStyle::Jcc },
-        BackendId { engine: Engine::InterpFused, technique: None, style: UpdateStyle::Jcc },
+        BackendId { engine: raw, technique: None, style: UpdateStyle::Jcc },
+        BackendId { engine: fused, technique: None, style: UpdateStyle::Jcc },
     ];
     for (technique, style) in technique_matrix() {
-        ids.push(BackendId { engine: Engine::DbtStep, technique, style });
-        ids.push(BackendId { engine: Engine::DbtFused, technique, style });
-        ids.push(BackendId { engine: Engine::DbtNative, technique, style });
-        if config_supports_tier(technique) {
-            ids.push(BackendId { engine: Engine::DbtTierFused, technique, style });
-            ids.push(BackendId { engine: Engine::DbtTierNative, technique, style });
+        for engine in dbt {
+            if !engine.is_tiered() || config_supports_tier(technique) {
+                ids.push(BackendId { engine, technique, style });
+            }
         }
     }
     ids
@@ -505,17 +394,16 @@ pub fn backend_ids() -> Vec<BackendId> {
 
 /// The comparison the oracle would apply to this specific pair.
 fn diff_for_pair(a: &BackendRun, b: &BackendRun, tier: Tier) -> Option<Divergence> {
-    use Engine::*;
-    match (a.id.engine, b.id.engine) {
-        (InterpRaw, InterpFused) | (InterpFused, InterpRaw) => diff_exact_cpu(a, b),
-        (DbtTierFused | DbtTierNative, DbtTierFused | DbtTierNative) => diff_dispatch_pair(a, b),
-        (DbtStep | DbtFused | DbtNative, DbtTierFused | DbtTierNative) => diff_tier_pair(a, b),
-        (DbtTierFused | DbtTierNative, DbtStep | DbtFused | DbtNative) => diff_tier_pair(b, a),
-        (DbtStep | DbtFused | DbtNative, DbtStep | DbtFused | DbtNative) => {
-            diff_dispatch_pair(a, b)
-        }
-        (InterpRaw | InterpFused, _) => diff_cross_engine(a, b, tier),
-        (_, InterpRaw | InterpFused) => diff_cross_engine(b, a, tier),
+    let (ea, eb) = (a.id.engine, b.id.engine);
+    match (ea.is_dbt(), eb.is_dbt()) {
+        (false, false) => diff_exact_cpu(a, b),
+        (false, true) => diff_cross_engine(a, b, tier),
+        (true, false) => diff_cross_engine(b, a, tier),
+        (true, true) => match (ea.is_tiered(), eb.is_tiered()) {
+            (false, true) => diff_tier_pair(a, b),
+            (true, false) => diff_tier_pair(b, a),
+            _ => diff_dispatch_pair(a, b),
+        },
     }
 }
 
@@ -530,15 +418,7 @@ mod tests {
         // 2 interpreters + 3 DBT flavours per config + 2 tier flavours on
         // the 3 trace-capable configs (baseline, EdgCF × both styles).
         assert_eq!(ids.len(), 2 + 3 * (1 + 2 * 5) + 2 * 3);
-        for engine in [
-            Engine::InterpRaw,
-            Engine::InterpFused,
-            Engine::DbtStep,
-            Engine::DbtFused,
-            Engine::DbtNative,
-            Engine::DbtTierFused,
-            Engine::DbtTierNative,
-        ] {
+        for engine in EngineSpec::all(TIER_THRESHOLD) {
             assert!(ids.iter().any(|b| b.engine == engine));
         }
         for kind in TechniqueKind::ALL_FIVE {
@@ -570,7 +450,7 @@ mod tests {
 
     #[test]
     fn tier_backends_promote_mid_run() {
-        if !cfed_dbt::tier_enabled() {
+        if !EngineSpec::DbtTierFused(TIER_THRESHOLD).resolve().is_tiered() {
             return; // CFED_NO_TIER=1: tier backends degrade by design
         }
         // MiniC programs are loop-heavy: at threshold 4 the tiered backends
@@ -623,7 +503,7 @@ mod tests {
         let prog = GeneratedProgram { tier: Tier::Visa, seed: 0, source: None, image };
         let report = run_oracle(&prog, 2_000_000);
         assert!(report.divergence.is_none(), "{:?}", report.divergence);
-        if cfed_dbt::tier_enabled() {
+        if EngineSpec::DbtTierFused(TIER_THRESHOLD).resolve().is_tiered() {
             let demoted = report.runs.iter().any(|r| {
                 r.id.engine.is_tiered()
                     && r.dbt.as_ref().is_some_and(|s| s.traces >= 1 && s.trace_demotions >= 1)

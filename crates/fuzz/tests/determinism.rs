@@ -41,11 +41,16 @@ fn report_is_identical_across_tier_on_off() {
     // the tiered runs' budget-shifted exits, and a divergence introduced by
     // tiering would be a real engine bug. Combined with the thread-count
     // test above this pins byte-identity across `--threads` × tier on/off.
+    // The tier-off side runs as a child process so the kill switch never
+    // touches this process's environment, which sibling tests read.
     let with_tier = run_fuzz(&config(2));
-    std::env::set_var("CFED_NO_TIER", "1");
-    let without_tier = run_fuzz(&config(2));
-    std::env::remove_var("CFED_NO_TIER");
-    assert_eq!(with_tier.text, without_tier.text, "trace tier leaked into the report");
-    assert_eq!(with_tier.divergences, without_tier.divergences);
-    assert_eq!(with_tier.coverage_bits, without_tier.coverage_bits);
+    let child = std::process::Command::new(env!("CARGO_BIN_EXE_cfed-fuzz"))
+        .args(["run", "--seed", "0xC0FFEE", "--iters", "8", "--threads", "2", "--mode", "both"])
+        .args(["--tier", "all", "--detect-branches", "2"])
+        .env("CFED_NO_TIER", "1")
+        .output()
+        .expect("cfed-fuzz runs");
+    assert!(child.status.success(), "{}", String::from_utf8_lossy(&child.stderr));
+    let without_tier = String::from_utf8(child.stdout).expect("UTF-8 report");
+    assert_eq!(with_tier.text, without_tier, "trace tier leaked into the report");
 }

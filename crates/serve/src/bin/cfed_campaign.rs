@@ -60,10 +60,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cfed_core::{
-    run_dbt_native_enabled, run_dbt_tiered_enabled, Category, RunConfig, TechniqueKind,
-};
-use cfed_dbt::{CheckPolicy, UpdateStyle};
+use cfed_core::{run_engine, Category, RunConfig, TechniqueKind};
+use cfed_dbt::{CheckPolicy, EngineSpec, UpdateStyle};
 use cfed_fault::CategoryStats;
 use cfed_runner::cli::Parser;
 use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
@@ -897,7 +895,7 @@ const NATIVE_BENCH_SCALE: u64 = 400;
 /// the ratio is a pure time ratio over identical guest work (the DBT's
 /// own counter includes translation glue and would flatter it).
 fn bench_native() -> Result<Option<NativePerf>, String> {
-    if !cfed_dbt::native_enabled() {
+    if EngineSpec::DbtNative.resolve() != EngineSpec::DbtNative {
         return Ok(None);
     }
     const WARMUP: usize = 1;
@@ -909,7 +907,8 @@ fn bench_native() -> Result<Option<NativePerf>, String> {
     let mut decoded = (0u64, 0.0f64);
     for spec in &specs {
         let image = spec.image()?;
-        let reference = run_dbt_native_enabled(&image, &cfg, false);
+        let off = Telemetry::off();
+        let reference = run_engine(&image, &cfg, EngineSpec::DbtFused, &off);
         let mut best = [f64::INFINITY; 2]; // [decoded, native]
         let mut guest_insts = 0;
         for rep in 0..WARMUP + REPS {
@@ -917,7 +916,7 @@ fn bench_native() -> Result<Option<NativePerf>, String> {
             for use_native in order {
                 if use_native {
                     let timer = std::time::Instant::now();
-                    let outcome = run_dbt_native_enabled(&image, &cfg, true);
+                    let outcome = run_engine(&image, &cfg, EngineSpec::DbtNative, &off);
                     let secs = timer.elapsed().as_secs_f64();
                     if outcome != reference {
                         return Err(format!("native-backend divergence on {}", spec.key()));
@@ -1024,7 +1023,9 @@ const TRACE_BENCH_SOURCE: &str = r#"
 /// fewer instructions — that being the point — and crediting it with its
 /// own smaller count would understate the win).
 fn bench_trace() -> Result<Option<TracePerf>, String> {
-    if !cfed_dbt::native_enabled() || !cfed_dbt::tier_enabled() {
+    let threshold = Some(cfed_dbt::DEFAULT_COMPILE_THRESHOLD);
+    let traced = EngineSpec::dbt(true, threshold);
+    if traced.resolve() != traced {
         return Ok(None);
     }
     const WARMUP: usize = 1;
@@ -1036,8 +1037,8 @@ fn bench_trace() -> Result<Option<TracePerf>, String> {
         max_insts: u64::MAX,
         ..RunConfig::technique(TechniqueKind::EdgCf)
     };
-    let threshold = cfed_dbt::DEFAULT_COMPILE_THRESHOLD;
-    let reference = run_dbt_tiered_enabled(&image, &cfg, threshold, false, true);
+    let off = Telemetry::off();
+    let reference = run_engine(&image, &cfg, EngineSpec::dbt(false, threshold), &off);
     if reference.dbt.traces == 0 {
         return Err("trace bench workload formed no traces".to_string());
     }
@@ -1047,7 +1048,8 @@ fn bench_trace() -> Result<Option<TracePerf>, String> {
         let order = if rep % 2 == 0 { [false, true] } else { [true, false] };
         for use_tier in order {
             let timer = std::time::Instant::now();
-            let outcome = run_dbt_tiered_enabled(&image, &cfg, threshold, true, use_tier);
+            let spec = EngineSpec::dbt(true, threshold.filter(|_| use_tier));
+            let outcome = run_engine(&image, &cfg, spec, &off);
             let secs = timer.elapsed().as_secs_f64();
             if use_tier {
                 if outcome != reference {
@@ -1229,6 +1231,16 @@ fn run_bench(argv: &[String]) {
     let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
     let quiet = args.has("quiet");
     let out = PathBuf::from(args.get("out").expect("has default"));
+    let baseline = args.get("baseline").filter(|s| !s.is_empty()).map(|path| {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(format!("reading baseline {path}: {e}")));
+        let baseline = cfed_telemetry::json::parse(&text)
+            .unwrap_or_else(|e| die(format!("parsing baseline {path}: {e}")));
+        if baseline.get("speedup_milli").and_then(Json::as_u64).is_none() {
+            die(format!("baseline {path} has no speedup_milli"));
+        }
+        baseline
+    });
 
     let matrix = bench_matrix(trials, seed);
     let cells = matrix.cells();
@@ -1314,12 +1326,71 @@ fn run_bench(argv: &[String]) {
     } else {
         0.0
     };
+    let milli = |x: f64| Json::UInt((x * 1000.0).round() as u64);
+    let gates = [
+        Gate {
+            name: "snapshot speedup",
+            key: "speedup_milli",
+            measured: Ok(speedup),
+            detail: vec![],
+            bound: Bound::None,
+            baseline: true,
+        },
+        Gate {
+            name: "interp speedup",
+            key: "interp_speedup_milli",
+            measured: Ok(interp.speedup),
+            detail: vec![(
+                "interp",
+                obj(vec![
+                    ("raw_mips_milli", milli(interp.raw_mips)),
+                    ("decoded_mips_milli", milli(interp.decoded_mips)),
+                    ("decode_hits", Json::UInt(interp.hits)),
+                    ("decode_misses", Json::UInt(interp.misses)),
+                    ("decode_invalidations", Json::UInt(interp.invalidations)),
+                ]),
+            )],
+            bound: Bound::None,
+            baseline: true,
+        },
+        // Self-normalizing (both laps run in this invocation on this
+        // host), so the budget is absolute and needs no baseline.
+        Gate {
+            name: "profiler-off overhead",
+            key: "profiler_off_overhead_pct_milli",
+            measured: Ok(prof_off.overhead_pct),
+            detail: vec![],
+            bound: Bound::BelowPct(PROFILER_OFF_BUDGET_PCT),
+            baseline: false,
+        },
+        // The native and trace floors are likewise self-normalizing, so
+        // they gate absolutely wherever the backend runs at all. Their keys
+        // are recorded only where it ran: records from non-x86-64 hosts
+        // stay valid, and readers treat absent keys as "not measured".
+        Gate {
+            name: "native speedup",
+            key: "native_over_decoded_milli",
+            measured: native.as_ref().map(|n| n.over_decoded).ok_or(NATIVE_UNAVAILABLE),
+            detail: native.iter().map(|n| ("native_mips_milli", milli(n.native_mips))).collect(),
+            bound: Bound::AtLeastMilli(NATIVE_MIN_RATIO_MILLI),
+            baseline: true,
+        },
+        Gate {
+            name: "trace speedup",
+            key: "trace_over_native_milli",
+            measured: trace.as_ref().map(|t| t.over_native).ok_or(TRACE_UNAVAILABLE),
+            detail: trace.iter().map(|t| ("trace_mips_milli", milli(t.trace_mips))).collect(),
+            bound: Bound::AtLeastMilli(TRACE_MIN_RATIO_MILLI),
+            baseline: true,
+        },
+    ];
+
     // Same source and fallback as `resolved_threads`, so the recorded pair
     // is always consistent (`threads_resolved <= cpus`); the old record
     // could claim 2 resolved workers on a 1-CPU host.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let resolved = RunnerOptions { threads, ..Default::default() }.resolved_threads();
-    let record = obj(vec![
+    let mut record = vec![
         ("schema", Json::Str("cfed-bench-campaign-v2".to_string())),
         (
             "host",
@@ -1343,65 +1414,60 @@ fn run_bench(argv: &[String]) {
         ),
         ("snapshots", perf_record(&snap.perf)),
         ("scratch", perf_record(&scratch.perf)),
-        ("speedup_milli", Json::UInt((speedup * 1000.0).round() as u64)),
-        (
-            "interp",
-            obj(vec![
-                ("raw_mips_milli", Json::UInt((interp.raw_mips * 1000.0).round() as u64)),
-                ("decoded_mips_milli", Json::UInt((interp.decoded_mips * 1000.0).round() as u64)),
-                ("decode_hits", Json::UInt(interp.hits)),
-                ("decode_misses", Json::UInt(interp.misses)),
-                ("decode_invalidations", Json::UInt(interp.invalidations)),
-            ]),
-        ),
-        ("interp_speedup_milli", Json::UInt((interp.speedup * 1000.0).round() as u64)),
-        (
-            "profiler_off_overhead_pct_milli",
-            Json::UInt((prof_off.overhead_pct * 1000.0).round() as u64),
-        ),
-    ]);
-    // The native keys are present only where the backend ran: records from
-    // non-x86-64 hosts stay valid, and readers treat the absent keys as
-    // "not measured" rather than zero.
-    let record = match &native {
-        Some(n) => {
-            let mut with_native = match record {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("record is an object"),
-            };
-            with_native.push((
-                "native_mips_milli".to_string(),
-                Json::UInt((n.native_mips * 1000.0).round() as u64),
-            ));
-            with_native.push((
-                "native_over_decoded_milli".to_string(),
-                Json::UInt((n.over_decoded * 1000.0).round() as u64),
-            ));
-            Json::Obj(with_native)
+    ];
+    // Every verdict is collected before any is acted on, so the record is
+    // written even when a gate fails.
+    let mut verdicts: Vec<(bool, String)> = Vec::new();
+    for gate in gates {
+        let short = gate.name.split(' ').next().unwrap_or(gate.name);
+        let value = match gate.measured {
+            Ok(value) => value,
+            Err(why) => {
+                verdicts.push((true, format!("bench: {why}; {short} gate skipped")));
+                continue;
+            }
+        };
+        let value_milli = (value * 1000.0).round() as u64;
+        record.extend(gate.detail);
+        record.push((gate.key, Json::UInt(value_milli)));
+        let name = gate.name;
+        match gate.bound {
+            Bound::None => {}
+            Bound::AtLeastMilli(floor) => verdicts.push(if value_milli < floor {
+                (false, format!("{name} {value:.2}x is below the floor {:.2}x", floor as f64 / 1e3))
+            } else {
+                (true, format!("bench: {name} {value:.2}x (floor {:.2}x)", floor as f64 / 1e3))
+            }),
+            Bound::BelowPct(budget) => verdicts.push(if value >= budget {
+                (false, format!("{name} {value:.2}% is over the budget <{budget}%"))
+            } else {
+                (true, format!("bench: {name} {value:.2}% (budget <{budget}%)"))
+            }),
         }
-        None => record,
-    };
-    // Likewise for the trace-tier keys: absent where the tier (or the
-    // native backend underneath it) could not run.
-    let record = match &trace {
-        Some(t) => {
-            let mut with_trace = match record {
-                Json::Obj(pairs) => pairs,
-                _ => unreachable!("record is an object"),
-            };
-            with_trace.push((
-                "trace_mips_milli".to_string(),
-                Json::UInt((t.trace_mips * 1000.0).round() as u64),
-            ));
-            with_trace.push((
-                "trace_over_native_milli".to_string(),
-                Json::UInt((t.over_native * 1000.0).round() as u64),
-            ));
-            Json::Obj(with_trace)
-        }
-        None => record,
-    };
-    std::fs::write(&out, record.render() + "\n")
+        let Some(base) = baseline.as_ref().filter(|_| gate.baseline) else { continue };
+        let Some(base_milli) = base.get(gate.key).and_then(Json::as_u64) else {
+            let key = gate.key;
+            verdicts.push((true, format!("bench: baseline has no {key}; {short} gate skipped")));
+            continue;
+        };
+        let floor = base_milli * (100 - BASELINE_TOLERANCE_PCT) / 100;
+        let (base_x, floor_x) = (base_milli as f64 / 1e3, floor as f64 / 1e3);
+        verdicts.push(if value_milli < floor {
+            let pct = BASELINE_TOLERANCE_PCT;
+            (
+                false,
+                format!("{name} {value:.2}x is more than {pct}% below the baseline {base_x:.2}x"),
+            )
+        } else {
+            (
+                true,
+                format!(
+                    "bench: {name} within budget of baseline {base_x:.2}x (floor {floor_x:.2}x)"
+                ),
+            )
+        });
+    }
+    std::fs::write(&out, obj(record).render() + "\n")
         .unwrap_or_else(|e| die(format!("writing {}: {e}", out.display())));
     println!(
         "bench: snapshots {:.1} trials/s, scratch {:.1} trials/s, speedup {speedup:.2}x -> {}",
@@ -1413,133 +1479,50 @@ fn run_bench(argv: &[String]) {
         "bench: interpreter raw {:.1} MIPS, decoded {:.1} MIPS, speedup {:.2}x",
         interp.raw_mips, interp.decoded_mips, interp.speedup
     );
-    // Unlike the two speedup gates, the profiler-off gate needs no committed
-    // baseline: both laps run in this invocation on this host, so the
-    // overhead ratio is self-normalizing and the budget is absolute.
-    if prof_off.overhead_pct >= PROFILER_OFF_BUDGET_PCT {
-        eprintln!(
-            "cfed-campaign bench: PERF REGRESSION — profiler-capable dispatch costs {:.2}% \
-             interpreter throughput with profiling off (budget <{PROFILER_OFF_BUDGET_PCT}%)",
-            prof_off.overhead_pct
-        );
+    let mut failed = false;
+    for (pass, line) in verdicts {
+        if pass {
+            println!("{line}");
+        } else {
+            eprintln!("cfed-campaign bench: PERF REGRESSION — {line}");
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
-    println!(
-        "bench: profiler off costs {:.2}% interpreter throughput (budget <{}%)",
-        prof_off.overhead_pct, PROFILER_OFF_BUDGET_PCT
-    );
-    // The native floor is likewise self-normalizing (native and decoded
-    // laps share the invocation), so it gates absolutely wherever the
-    // backend runs at all.
-    match &native {
-        Some(n) => {
-            let ratio_milli = (n.over_decoded * 1000.0).round() as u64;
-            if ratio_milli < NATIVE_MIN_RATIO_MILLI {
-                eprintln!(
-                    "cfed-campaign bench: PERF REGRESSION — native backend is only {:.2}x the \
-                     decoded interpreter (floor {:.2}x)",
-                    n.over_decoded,
-                    NATIVE_MIN_RATIO_MILLI as f64 / 1000.0
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "bench: native backend {:.1} MIPS, {:.2}x over decoded (floor {:.2}x)",
-                n.native_mips,
-                n.over_decoded,
-                NATIVE_MIN_RATIO_MILLI as f64 / 1000.0
-            );
-        }
-        None => println!("bench: native backend unavailable on this host; native gate skipped"),
-    }
-    // The trace-tier floor shares the self-normalizing structure: both laps
-    // run in this invocation under the same native backend, so the ratio
-    // gates absolutely wherever the tier runs at all.
-    match &trace {
-        Some(t) => {
-            let ratio_milli = (t.over_native * 1000.0).round() as u64;
-            if ratio_milli < TRACE_MIN_RATIO_MILLI {
-                eprintln!(
-                    "cfed-campaign bench: PERF REGRESSION — trace tier is only {:.2}x tier-1 \
-                     native on the hot-loop workload (floor {:.2}x)",
-                    t.over_native,
-                    TRACE_MIN_RATIO_MILLI as f64 / 1000.0
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "bench: trace tier {:.1} MIPS, {:.2}x over tier-1 native (floor {:.2}x)",
-                t.trace_mips,
-                t.over_native,
-                TRACE_MIN_RATIO_MILLI as f64 / 1000.0
-            );
-        }
-        None => println!("bench: trace tier unavailable on this host; trace gate skipped"),
-    }
+}
 
-    if let Some(baseline_path) = args.get("baseline").filter(|s| !s.is_empty()) {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| die(format!("reading baseline {baseline_path}: {e}")));
-        let baseline = cfed_telemetry::json::parse(&text)
-            .unwrap_or_else(|e| die(format!("parsing baseline {baseline_path}: {e}")));
-        let gate = |name: &str, current_milli: u64, base_milli: u64| {
-            let floor = base_milli * (100 - BASELINE_TOLERANCE_PCT) / 100;
-            if current_milli < floor {
-                eprintln!(
-                    "cfed-campaign bench: PERF REGRESSION — {name} {:.2}x is more than {}% below \
-                     the baseline {:.2}x",
-                    current_milli as f64 / 1000.0,
-                    BASELINE_TOLERANCE_PCT,
-                    base_milli as f64 / 1000.0
-                );
-                std::process::exit(1);
-            }
-            println!(
-                "bench: {name} within budget of baseline {:.2}x (floor {:.2}x)",
-                base_milli as f64 / 1000.0,
-                floor as f64 / 1000.0
-            );
-        };
-        let base_speedup = baseline
-            .get("speedup_milli")
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| die(format!("baseline {baseline_path} has no speedup_milli")));
-        gate("snapshot speedup", (speedup * 1000.0).round() as u64, base_speedup);
-        // Records predating schema v2 have no interpreter section; the gate
-        // engages once a v2 baseline is committed.
-        match baseline.get("interp_speedup_milli").and_then(Json::as_u64) {
-            Some(base_interp) => {
-                gate("interp speedup", (interp.speedup * 1000.0).round() as u64, base_interp)
-            }
-            None => println!("bench: baseline has no interp_speedup_milli; interp gate skipped"),
-        }
-        // Same pattern for the native ratio: records predating the native
-        // backend (or written on non-x86-64 hosts) simply lack the key.
-        match (baseline.get("native_over_decoded_milli").and_then(Json::as_u64), &native) {
-            (Some(base_native), Some(n)) => {
-                gate("native speedup", (n.over_decoded * 1000.0).round() as u64, base_native)
-            }
-            (Some(_), None) => {
-                println!("bench: native backend unavailable on this host; native gate skipped")
-            }
-            (None, _) => {
-                println!("bench: baseline has no native_over_decoded_milli; native gate skipped")
-            }
-        }
-        // And the trace-tier ratio: absent from records written before the
-        // tier existed or on hosts where it could not run.
-        match (baseline.get("trace_over_native_milli").and_then(Json::as_u64), &trace) {
-            (Some(base_trace), Some(t)) => {
-                gate("trace speedup", (t.over_native * 1000.0).round() as u64, base_trace)
-            }
-            (Some(_), None) => {
-                println!("bench: trace tier unavailable on this host; trace gate skipped")
-            }
-            (None, _) => {
-                println!("bench: baseline has no trace_over_native_milli; trace gate skipped")
-            }
-        }
-    }
+/// Skip reasons for gates whose backend cannot run on this host.
+const NATIVE_UNAVAILABLE: &str = "native backend unavailable on this host";
+const TRACE_UNAVAILABLE: &str = "trace tier unavailable on this host";
+
+/// The absolute, same-invocation bound on a gated measurement.
+enum Bound {
+    /// Only the baseline floor applies.
+    None,
+    /// The milli-scaled ratio must reach this floor.
+    AtLeastMilli(u64),
+    /// The percentage must stay below this budget.
+    BelowPct(f64),
+}
+
+/// One row of the `cfed-campaign bench` gate table.
+struct Gate {
+    /// Name in gate messages; its first word names the gate in skip lines.
+    name: &'static str,
+    /// Record key of the milli-scaled measurement, and the baseline key it
+    /// is compared against.
+    key: &'static str,
+    /// The measurement, or why it could not run on this host.
+    measured: Result<f64, &'static str>,
+    /// Entries recorded just ahead of `key` when the measurement ran.
+    detail: Vec<(&'static str, Json)>,
+    /// Absolute bound on this host.
+    bound: Bound,
+    /// Whether a committed baseline's `key` floors the measurement at
+    /// [`BASELINE_TOLERANCE_PCT`] below it.
+    baseline: bool,
 }
 
 fn report_progress(run: &RunSummary) {

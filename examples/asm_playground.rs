@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example asm_playground`
 
 use cfed::asm::parse_asm;
-use cfed::core::{run_dbt_with, run_native, Category, RunConfig, TechniqueKind};
-use cfed::dbt::{CheckPolicy, UpdateStyle};
+use cfed::core::{run_dbt, run_native, Category, RunConfig, TechniqueKind};
+use cfed::dbt::UpdateStyle;
 use cfed::fault::ExhaustiveSweep;
 
 const PROGRAM: &str = r#"
@@ -48,8 +48,13 @@ fn main() {
 
     // Same behaviour under every technique.
     for kind in TechniqueKind::ALL_FIVE {
-        let instr = kind.instrumenter_for(&image, CheckPolicy::AllBb);
-        let got = run_dbt_with(&image, instr, UpdateStyle::CMov, 10_000_000);
+        let cfg = RunConfig {
+            technique: Some(kind),
+            style: UpdateStyle::CMov,
+            max_insts: 10_000_000,
+            ..RunConfig::default()
+        };
+        let got = run_dbt(&image, &cfg);
         println!("{:>6}: output {:?}, cycles {} ", kind.to_string(), got.output, got.cycles);
         assert_eq!(got.output, native.output, "{kind} must be transparent");
     }

@@ -22,7 +22,8 @@
 //!   JSONL result store (the `cfed-campaign` binary);
 //! * [`fuzz`] — coverage-guided differential conformance engine: generated
 //!   programs diffed across every backend × technique combination, plus
-//!   the detection-guarantee sweep (the `cfed-fuzz` binary).
+//!   the detection-guarantee sweep (the `cfed-fuzz` binary);
+//! * [`telemetry`] — counters, histograms and structured event sinks.
 //!
 //! ## Quickstart
 //!
@@ -45,4 +46,5 @@ pub use cfed_isa as isa;
 pub use cfed_lang as lang;
 pub use cfed_runner as runner;
 pub use cfed_sim as sim;
+pub use cfed_telemetry as telemetry;
 pub use cfed_workloads as workloads;

@@ -34,9 +34,8 @@
 //! interpreter-only under `CFED_NO_NATIVE=1`, like the rest of the matrix).
 
 use cfed::core::{Category, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, UpdateStyle};
-use cfed::fault::{attack_with, pause_attack, AttackKind, AttackSpec, Outcome};
-use cfed::fault::{AttackExit, SnapshotSet};
+use cfed::dbt::{DbtExit, EngineSpec, UpdateStyle};
+use cfed::fault::{attack_with, pause_attack, AttackKind, AttackSpec, Outcome, SnapshotSet};
 use cfed::lang::compile;
 
 const PROGRAM: &str = r#"
@@ -234,19 +233,17 @@ fn pause_attacks_are_bit_identical_across_engines() {
             };
             for pause in [900u64, 2400, 5200] {
                 for param in [3u64, 11] {
-                    let fused = pause_attack(&image, &cfg, archetype, param, pause, false, None);
-                    let tiered =
-                        pause_attack(&image, &cfg, archetype, param, pause, false, Some(8));
-                    if native_enabled() {
-                        let native =
-                            pause_attack(&image, &cfg, archetype, param, pause, true, None);
+                    let mount = |spec| pause_attack(&image, &cfg, archetype, param, pause, spec);
+                    let fused = mount(EngineSpec::DbtFused);
+                    let tiered = mount(EngineSpec::DbtTierFused(8));
+                    if EngineSpec::DbtNative.resolve().is_native() {
+                        let native = mount(EngineSpec::DbtNative);
                         assert_eq!(
                             fused, native,
                             "{kind} {archetype} pause={pause} param={param}: \
                              fused and native disagree"
                         );
-                        let tiered_native =
-                            pause_attack(&image, &cfg, archetype, param, pause, true, Some(8));
+                        let tiered_native = mount(EngineSpec::DbtTierNative(8));
                         assert_eq!(
                             tiered, tiered_native,
                             "{kind} {archetype} pause={pause} param={param}: \
@@ -265,7 +262,7 @@ fn pause_attacks_are_bit_identical_across_engines() {
                         continue;
                     }
                     match &fused.exit {
-                        AttackExit::Halted { .. } => assert_eq!(
+                        DbtExit::Halted { .. } => assert_eq!(
                             fused.output, golden.output,
                             "{kind} {archetype} pause={pause} param={param}: \
                              silent corruption escaped detection"
@@ -294,7 +291,7 @@ fn uninstrumented_runs_set_the_hardware_only_floor() {
     let cfg = RunConfig { max_insts: 2_000_000, ..RunConfig::baseline() };
 
     for archetype in [AttackKind::GadgetEntry, AttackKind::DataPivot] {
-        let run = pause_attack(&image, &cfg, archetype, 2, 900, false, None);
+        let run = pause_attack(&image, &cfg, archetype, 2, 900, EngineSpec::DbtFused);
         assert!(run.placed, "{archetype} must place at the pause point");
         assert!(run.detected(), "{archetype} must trip the hardware path");
     }
@@ -303,7 +300,7 @@ fn uninstrumented_runs_set_the_hardware_only_floor() {
     for archetype in [AttackKind::RetGadget, AttackKind::EdgeSplice] {
         for pause in [900u64, 2400] {
             for param in [3u64, 11] {
-                let run = pause_attack(&image, &cfg, archetype, param, pause, false, None);
+                let run = pause_attack(&image, &cfg, archetype, param, pause, EngineSpec::DbtFused);
                 if run.placed && !run.detected() {
                     undetected += 1;
                 }

@@ -25,11 +25,11 @@
 //!    to the fallback engine under the same pause/corrupt/resume schedule.
 
 use cfed::asm::Image;
-use cfed::core::{run_dbt_native_enabled, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, regs, CheckPolicy, DbtExit, NativeDbt, UpdateStyle};
+use cfed::core::{run_engine, Engine, RunConfig, RunOutcome, TechniqueKind};
+use cfed::dbt::{regs, DbtExit, EngineSpec, UpdateStyle};
 use cfed::fuzz::shrink::rebuild_image;
 use cfed::lang::compile;
-use cfed::sim::Machine;
+use cfed::telemetry::Telemetry;
 
 const PROGRAM: &str = r#"
     fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
@@ -69,9 +69,15 @@ fn faulted_images(image: &Image, site_cap: usize) -> Vec<Image> {
     out
 }
 
+/// Whether the native backend runs on this host (not under
+/// `CFED_NO_NATIVE=1`, where the fallback engine IS the reference).
+fn native_runs() -> bool {
+    EngineSpec::DbtNative.resolve().is_native()
+}
+
 #[test]
 fn static_branch_faults_behave_identically_under_native() {
-    if !native_enabled() {
+    if !native_runs() {
         return; // fallback engine IS the reference; nothing to compare
     }
     let image = compile(PROGRAM).expect("valid program");
@@ -82,8 +88,8 @@ fn static_branch_faults_behave_identically_under_native() {
         for style in [UpdateStyle::Jcc, UpdateStyle::CMov] {
             let cfg = RunConfig { style, max_insts: 2_000_000, ..RunConfig::technique(kind) };
             for img in &faulted {
-                let native = run_dbt_native_enabled(img, &cfg, true);
-                let interp = run_dbt_native_enabled(img, &cfg, false);
+                let native = run_engine(img, &cfg, EngineSpec::DbtNative, &Telemetry::off());
+                let interp = run_engine(img, &cfg, EngineSpec::DbtFused, &Telemetry::off());
                 assert_eq!(
                     native, interp,
                     "{kind}/{style:?}: native and interpreter disagree on a faulted image"
@@ -93,20 +99,10 @@ fn static_branch_faults_behave_identically_under_native() {
     }
 }
 
-/// Outcome of one pause/corrupt/resume run, in full: exit, output, retired
-/// counts, and translator counters — everything the equivalence suite pins.
-#[derive(Debug, PartialEq, Eq)]
-struct CorruptOutcome {
-    exit: DbtExit,
-    output: Vec<u64>,
-    insts: u64,
-    cycles: u64,
-    stats: cfed::dbt::DbtStats,
-}
-
 /// Run `image` under `kind`/`style`, pause after roughly `pause` retired
 /// instructions, XOR `bit` into the live signature register, and resume to
-/// completion.
+/// completion. The outcome is in full — exit, output, retired counts, and
+/// translator counters — everything the equivalence suite pins.
 fn run_corrupted(
     image: &Image,
     kind: TechniqueKind,
@@ -114,35 +110,29 @@ fn run_corrupted(
     native: bool,
     pause: u64,
     bit: u32,
-) -> CorruptOutcome {
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let instr = kind.instrumenter_for(image, CheckPolicy::AllBb);
-    let mut dbt = NativeDbt::with_native(instr, style, &mut m, native);
-    let exit = match dbt.run(&mut m, pause) {
+) -> RunOutcome {
+    let cfg = RunConfig { style, ..RunConfig::technique(kind) };
+    let mut engine = Engine::new(image, &cfg, EngineSpec::dbt(native, None));
+    let exit = match engine.run(pause) {
         DbtExit::StepLimit => {
-            let sig = m.cpu.reg(regs::PC_PRIME);
-            m.cpu.set_reg(regs::PC_PRIME, sig ^ (1u64 << bit));
-            dbt.run(&mut m, 2_000_000)
+            let cpu = &mut engine.machine.cpu;
+            cpu.set_reg(regs::PC_PRIME, cpu.reg(regs::PC_PRIME) ^ (1u64 << bit));
+            engine.run(2_000_000)
         }
         // Program finished before the pause point; the flip never happened.
         other => other,
     };
-    CorruptOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-        cycles: m.cpu.stats().cycles,
-        stats: dbt.stats(),
-    }
+    engine.outcome(exit)
 }
 
 #[test]
 fn live_signature_faults_are_detected_or_benign_under_native() {
-    if !native_enabled() {
+    if !native_runs() {
         return;
     }
     let image = compile(PROGRAM).expect("valid program");
-    let golden = run_dbt_native_enabled(&image, &RunConfig::baseline(), true);
+    let golden =
+        run_engine(&image, &RunConfig::baseline(), EngineSpec::DbtNative, &Telemetry::off());
     let DbtExit::Halted { .. } = golden.exit else {
         panic!("golden run must halt, got {:?}", golden.exit)
     };

@@ -15,10 +15,11 @@
 //! 3. the engine's in-guest hot counters agree with the independent
 //!    `ExecProfiler` tally of the same execution.
 
-use cfed::core::{run_dbt_tiered_enabled, trace_tier_config, RunConfig, TechniqueKind};
-use cfed::dbt::{native_enabled, regs, DbtExit, NativeDbt, UpdateStyle};
+use cfed::core::{run_engine, Engine, RunConfig, RunOutcome, TechniqueKind};
+use cfed::dbt::{regs, DbtExit, EngineSpec, UpdateStyle};
 use cfed::lang::compile;
 use cfed::sim::Machine;
+use cfed::telemetry::Telemetry;
 
 const PROGRAM: &str = r#"
     fn leaf(x) { if (x % 2 == 0) { return x * 3; } return x + 7; }
@@ -35,6 +36,19 @@ const PROGRAM: &str = r#"
 
 const THRESHOLD: u32 = 8;
 
+/// Whether the native backend runs on this host (it stands in for the
+/// fused engine under `CFED_NO_NATIVE=1`, like the rest of the matrix).
+fn native_runs() -> bool {
+    EngineSpec::DbtNative.resolve().is_native()
+}
+
+/// `image` under the DBT engine with the given layers; the tier is
+/// requested explicitly, so it runs even under `CFED_NO_TIER=1`.
+fn run(image: &cfed::asm::Image, cfg: &RunConfig, native: bool, tier: bool) -> RunOutcome {
+    let spec = EngineSpec::dbt(native, tier.then_some(THRESHOLD));
+    run_engine(image, cfg, spec, &Telemetry::off())
+}
+
 #[test]
 fn tier_matrix_is_guest_equivalent() {
     let image = compile(PROGRAM).expect("valid program");
@@ -42,12 +56,12 @@ fn tier_matrix_is_guest_equivalent() {
         for style in [UpdateStyle::Jcc, UpdateStyle::CMov] {
             let cfg =
                 RunConfig { technique: kind, style, max_insts: 10_000_000, ..RunConfig::default() };
-            let reference = run_dbt_tiered_enabled(&image, &cfg, THRESHOLD, false, false);
+            let reference = run(&image, &cfg, false, false);
             assert!(matches!(reference.exit, DbtExit::Halted { .. }));
             let mut tiered_traces = 0;
-            for native in [false, native_enabled()] {
+            for native in [false, native_runs()] {
                 for tier in [false, true] {
-                    let run = run_dbt_tiered_enabled(&image, &cfg, THRESHOLD, native, tier);
+                    let run = run(&image, &cfg, native, tier);
                     assert_eq!(run.exit, reference.exit, "{kind:?}/{style:?} n={native} t={tier}");
                     assert_eq!(
                         run.output, reference.output,
@@ -71,8 +85,8 @@ fn tiered_runs_beat_tier_1_on_retired_instructions_for_edgcf() {
     // cancel and per-block checks hoist to the trace head.
     let image = compile(PROGRAM).expect("valid program");
     let cfg = RunConfig { max_insts: 10_000_000, ..RunConfig::technique(TechniqueKind::EdgCf) };
-    let plain = run_dbt_tiered_enabled(&image, &cfg, THRESHOLD, false, false);
-    let tiered = run_dbt_tiered_enabled(&image, &cfg, THRESHOLD, false, true);
+    let plain = run(&image, &cfg, false, false);
+    let tiered = run(&image, &cfg, false, true);
     assert_eq!(plain.output, tiered.output);
     assert!(tiered.dbt.traces >= 1);
     assert!(
@@ -83,50 +97,33 @@ fn tiered_runs_beat_tier_1_on_retired_instructions_for_edgcf() {
     );
 }
 
-/// Outcome of one pause/corrupt/resume run under the tiered engine.
-#[derive(Debug, PartialEq, Eq)]
-struct CorruptOutcome {
-    exit: DbtExit,
-    output: Vec<u64>,
-    insts: u64,
-    cycles: u64,
-    stats: cfed::dbt::DbtStats,
-}
-
+/// One pause/corrupt/resume run under the tiered engine: everything the
+/// equivalence suite pins.
 fn run_corrupted_tiered(
     image: &cfed::asm::Image,
     style: UpdateStyle,
     native: bool,
     pause: u64,
     bit: u32,
-) -> CorruptOutcome {
+) -> RunOutcome {
     let cfg = RunConfig { style, ..RunConfig::technique(TechniqueKind::EdgCf) };
-    let tier = trace_tier_config(&cfg, THRESHOLD).expect("EdgCF supports the trace tier");
-    let instr = TechniqueKind::EdgCf.instrumenter_for(image, cfg.policy);
-    let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = NativeDbt::with_options(instr, style, &mut m, native, Some(tier));
-    let exit = match dbt.run(&mut m, pause) {
+    let mut engine = Engine::new(image, &cfg, EngineSpec::dbt(native, Some(THRESHOLD)));
+    let exit = match engine.run(pause) {
         DbtExit::StepLimit => {
-            let sig = m.cpu.reg(regs::PC_PRIME);
-            m.cpu.set_reg(regs::PC_PRIME, sig ^ (1u64 << bit));
-            dbt.run(&mut m, 2_000_000)
+            let cpu = &mut engine.machine.cpu;
+            cpu.set_reg(regs::PC_PRIME, cpu.reg(regs::PC_PRIME) ^ (1u64 << bit));
+            engine.run(2_000_000)
         }
         other => other,
     };
-    CorruptOutcome {
-        exit,
-        output: m.cpu.take_output(),
-        insts: m.cpu.stats().insts,
-        cycles: m.cpu.stats().cycles,
-        stats: dbt.stats(),
-    }
+    engine.outcome(exit)
 }
 
 #[test]
 fn live_signature_faults_detected_or_benign_with_tier_enabled() {
     let image = compile(PROGRAM).expect("valid program");
     let golden_cfg = RunConfig { max_insts: 10_000_000, ..RunConfig::baseline() };
-    let golden = run_dbt_tiered_enabled(&image, &golden_cfg, THRESHOLD, false, false);
+    let golden = run(&image, &golden_cfg, false, false);
     let DbtExit::Halted { .. } = golden.exit else {
         panic!("golden run must halt, got {:?}", golden.exit)
     };
@@ -140,10 +137,10 @@ fn live_signature_faults_detected_or_benign_with_tier_enabled() {
             for bit in 0..64 {
                 let fused = run_corrupted_tiered(&image, style, false, pause, bit);
                 assert!(
-                    fused.stats.traces >= 1,
+                    fused.dbt.traces >= 1,
                     "{style:?} pause={pause}: corruption must land on a tiered run"
                 );
-                if native_enabled() {
+                if native_runs() {
                     let native = run_corrupted_tiered(&image, style, true, pause, bit);
                     assert_eq!(
                         fused, native,
@@ -188,18 +185,13 @@ fn engine_hot_counters_agree_with_exec_profiler() {
     // residual encodes that block's entry count exactly.
     let huge = 1 << 20;
     let cfg = RunConfig { max_insts: 10_000_000, ..RunConfig::default() };
-    let tier = trace_tier_config(&cfg, huge).expect("baseline supports the trace tier");
-    let mut mt = Machine::load(image.code(), image.data(), image.entry_offset());
-    let mut dbt = cfed::dbt::Dbt::new_tiered(
-        Box::new(cfed::dbt::NullInstrumenter),
-        UpdateStyle::Jcc,
-        &mut mt,
-        tier,
-    );
-    assert!(matches!(dbt.run(&mut mt, 10_000_000), DbtExit::Halted { .. }));
-    assert_eq!(dbt.stats().traces, 0, "threshold must be unreachable");
+    let mut tiered = Engine::new(&image, &cfg, EngineSpec::DbtTierFused(huge));
+    assert!(matches!(tiered.run(10_000_000), DbtExit::Halted { .. }));
+    let stats = tiered.dbt.as_ref().expect("a DBT engine").stats();
+    assert_eq!(stats.traces, 0, "threshold must be unreachable");
+    let mt = &tiered.machine;
     let counters = mt.layout().cache_region.start;
-    let max_entries = (0..dbt.stats().blocks)
+    let max_entries = (0..stats.blocks)
         .map(|slot| {
             let bytes: [u8; 8] =
                 mt.mem.peek(counters + slot * 8, 8).try_into().expect("counter slot");

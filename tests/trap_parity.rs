@@ -14,9 +14,9 @@
 //! `PermWrite` and resumes from the patched bytes).
 
 use cfed::asm::parse_asm;
-use cfed::fuzz::{run_oracle, Engine, GeneratedProgram, Tier};
+use cfed::fuzz::{run_oracle, GeneratedProgram, Tier};
 use cfed::sim::Trap;
-use cfed_dbt::DbtExit;
+use cfed_dbt::{DbtExit, EngineSpec};
 
 /// One row: a named program and the trap (or halt) it must produce.
 struct Row {
@@ -106,7 +106,7 @@ fn trap_kinds_surface_identically_across_all_paths() {
         let raw = report
             .runs
             .iter()
-            .find(|r| r.id.engine == Engine::InterpRaw)
+            .find(|r| r.id.engine == EngineSpec::InterpRaw)
             .expect("oracle always runs the raw interpreter");
         assert!(
             (row.expect)(&raw.exit),
