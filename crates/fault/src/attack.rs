@@ -20,8 +20,10 @@
 //! *past* another block's signature check, a byte-misaligned gadget inside
 //! the current block, or a non-executable data page.
 
-use crate::campaign::{shard_count, shard_len, shard_seed, CampaignReport};
-use crate::inject::{build, run_trial_inner, Golden, InjectionResult, WorkloadError};
+use crate::campaign::{run_trials, shard_count, shard_len, shard_seed, CampaignReport};
+use crate::inject::{
+    golden_inner, run_trial, Golden, InjectionResult, Strike, Trial, WorkloadError,
+};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{
@@ -363,13 +365,14 @@ fn plan_attack(
 
 /// Applies a resolved plan: redirects seize the program counter (the branch
 /// never retires — a corrupted return address or jump target), flag flips
-/// execute the branch on the corrupted flags.
-fn attack_now(
+/// execute the branch on the corrupted flags. `None` when the archetype is
+/// unplaceable here.
+pub(crate) fn attack_now(
     m: &mut Machine,
     dbt: &mut Dbt,
     image: &Image,
     spec: AttackSpec,
-) -> Option<(AttackPlan, DbtStep)> {
+) -> Option<Strike> {
     let plan = plan_attack(m, dbt, image, spec.kind, spec.param)?;
     let step = match plan.action {
         AttackAction::Redirect { target } => {
@@ -381,73 +384,28 @@ fn attack_now(
             dbt.step(m)
         }
     };
-    Some((plan, step))
+    Some(Strike {
+        category: plan.category,
+        site: plan.site,
+        landing: plan.landing,
+        provenance: Some(plan.provenance),
+        step,
+    })
 }
 
-/// Mounts one attack and runs to an outcome, replaying the attack-free
-/// prefix from scratch. Returns `Ok(None)` when the attack is unplaceable:
-/// the strike branch is beyond the program's execution, or the archetype
-/// has no candidate target there.
+/// [`run_trial`] for an attack from scratch. Kept as a one-line delegation
+/// because `perfbench/` calls it.
 ///
 /// # Errors
 ///
-/// [`WorkloadError`] when the attack-free prefix itself misbehaves — only
-/// possible when `golden` does not describe this `(image, config)`.
+/// As [`run_trial`].
 pub fn attack(
     image: &Image,
     cfg: &RunConfig,
     spec: AttackSpec,
     golden: &Golden,
 ) -> Result<Option<InjectionResult>, WorkloadError> {
-    attack_with(image, cfg, spec, golden, None)
-}
-
-/// As [`attack`], fast-forwarding through `snapshots` when provided (see
-/// [`crate::inject_with`]); the outcome is bit-identical either way.
-///
-/// # Errors
-///
-/// As [`attack`].
-pub fn attack_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-    golden: &Golden,
-    snapshots: Option<&SnapshotSet>,
-) -> Result<Option<InjectionResult>, WorkloadError> {
-    let r = run_trial_inner(image, cfg, spec.nth, golden, None, snapshots, |m, dbt, image| {
-        attack_now(m, dbt, image, spec).map(|(p, step)| (p.category, p.site, p.landing, step))
-    })?;
-    Ok(r.map(|(result, _)| result))
-}
-
-/// As [`attack_with`] with an execution tracer of `capacity` instructions
-/// attached, returning the gadget provenance alongside — the forensics
-/// path. Deterministic: re-running a plain [`attack`] trial through here
-/// reproduces the identical outcome with evidence attached.
-///
-/// # Errors
-///
-/// As [`attack`].
-pub fn attack_traced_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: AttackSpec,
-    golden: &Golden,
-    capacity: usize,
-    snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer, AttackProvenance)>, WorkloadError> {
-    let mut provenance = None;
-    let r =
-        run_trial_inner(image, cfg, spec.nth, golden, Some(capacity), snapshots, |m, dbt, img| {
-            attack_now(m, dbt, img, spec).map(|(p, step)| {
-                provenance = Some(p.provenance);
-                (p.category, p.site, p.landing, step)
-            })
-        })?;
-    Ok(r.map(|(result, tracer)| {
-        (result, tracer.expect("tracer attached"), provenance.expect("attack placed"))
-    }))
+    run_trial(image, cfg, Trial::Attack(spec), golden, None)
 }
 
 /// A randomized attack campaign over one image + DBT configuration: the
@@ -511,22 +469,14 @@ impl AttackCampaign {
         golden: &Golden,
         snapshots: Option<&SnapshotSet>,
         shard_index: u64,
-        mut observer: impl FnMut(AttackSpec, &InjectionResult),
+        observer: impl FnMut(AttackSpec, &InjectionResult),
     ) -> Result<CampaignReport, WorkloadError> {
         let mut rng = StdRng::seed_from_u64(shard_seed(self.seed, shard_index));
-        let mut report = CampaignReport::new(golden.clone());
-        for _ in 0..shard_len(self.trials, shard_index) {
+        let specs = (0..shard_len(self.trials, shard_index)).map(|_| {
             let nth = rng.gen_range(0..golden.branches.max(1));
-            let param = rng.gen::<u64>();
-            let spec = AttackSpec { kind: self.kind, nth, param };
-            if let Some(r) = attack_with(image, &self.config, spec, golden, snapshots)? {
-                observer(spec, &r);
-                report.record(r.category, r.outcome, r.latency_insts);
-            } else {
-                report.skipped += 1;
-            }
-        }
-        Ok(report)
+            AttackSpec { kind: self.kind, nth, param: rng.gen() }
+        });
+        run_trials(image, &self.config, golden, snapshots, specs, Trial::Attack, observer)
     }
 
     /// Runs the campaign against a caller-supplied golden reference.
@@ -663,27 +613,17 @@ impl AttackModel {
     ///
     /// [`WorkloadError`] when the attack-free run misbehaves.
     pub fn analyze(&self, image: &Image) -> Result<AttackSurface, WorkloadError> {
-        let (mut m, mut dbt) = build(image, &self.config);
         let mut surface = AttackSurface::new();
-        loop {
-            if m.cpu.stats().insts >= self.config.max_insts {
-                return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts });
-            }
-            if m.peek_inst().map(|i| i.is_branch()).unwrap_or(false) {
-                for kind in AttackKind::ALL {
-                    match plan_attack(&mut m, &dbt, image, kind, surface.branches) {
-                        Some(p) => surface.counts[kind.idx()][cat_idx(p.category)] += 1,
-                        None => surface.unplaceable[kind.idx()] += 1,
-                    }
+        let golden = golden_inner(image, &self.config, |m, dbt, index| {
+            for kind in AttackKind::ALL {
+                match plan_attack(m, dbt, image, kind, index) {
+                    Some(p) => surface.counts[kind.idx()][cat_idx(p.category)] += 1,
+                    None => surface.unplaceable[kind.idx()] += 1,
                 }
-                surface.branches += 1;
             }
-            match dbt.step(&mut m) {
-                DbtStep::Continue => {}
-                DbtStep::Halted => return Ok(surface),
-                DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
-            }
-        }
+        })?;
+        surface.branches = golden.branches;
+        Ok(surface)
     }
 }
 
@@ -783,7 +723,7 @@ pub fn pause_attack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::Outcome;
+    use crate::inject::{run_trial_traced, Outcome};
     use cfed_core::TechniqueKind;
     use cfed_lang::compile;
 
@@ -853,10 +793,10 @@ mod tests {
         let (golden, snaps) = SnapshotSet::capture(&img, &cfg).unwrap();
         for kind in AttackKind::ALL {
             for nth in [0u64, 9, 33] {
-                let spec = AttackSpec { kind, nth, param: nth * 17 + 3 };
-                let a = attack(&img, &cfg, spec, &golden).unwrap();
-                let b = attack(&img, &cfg, spec, &golden).unwrap();
-                let fast = attack_with(&img, &cfg, spec, &golden, Some(&snaps)).unwrap();
+                let trial = Trial::Attack(AttackSpec { kind, nth, param: nth * 17 + 3 });
+                let a = run_trial(&img, &cfg, trial, &golden, None).unwrap();
+                let b = run_trial(&img, &cfg, trial, &golden, None).unwrap();
+                let fast = run_trial(&img, &cfg, trial, &golden, Some(&snaps)).unwrap();
                 assert_eq!(a, b, "{kind} nth={nth} not deterministic");
                 assert_eq!(a, fast, "{kind} nth={nth} fast-forward diverged");
             }
@@ -871,7 +811,7 @@ mod tests {
         let mut placed = 0;
         for nth in 0..10 {
             let spec = AttackSpec { kind: AttackKind::DataPivot, nth, param: nth };
-            if let Some(r) = attack(&img, &cfg, spec, &golden).unwrap() {
+            if let Some(r) = run_trial(&img, &cfg, Trial::Attack(spec), &golden, None).unwrap() {
                 assert_eq!(r.category, Category::F);
                 assert_eq!(r.outcome, Outcome::DetectedByHw, "pivot at {nth} escaped hardware");
                 placed += 1;
@@ -888,7 +828,7 @@ mod tests {
         let mut placed = 0;
         for nth in 0..10 {
             let spec = AttackSpec { kind: AttackKind::GadgetEntry, nth, param: 2 };
-            if let Some(r) = attack(&img, &cfg, spec, &golden).unwrap() {
+            if let Some(r) = run_trial(&img, &cfg, Trial::Attack(spec), &golden, None).unwrap() {
                 assert_eq!(r.category, Category::C);
                 assert_eq!(r.outcome, Outcome::DetectedByHw, "gadget at {nth} escaped hardware");
                 placed += 1;
@@ -934,12 +874,13 @@ mod tests {
         let img = image();
         let cfg = RunConfig::technique(TechniqueKind::EdgCf);
         let (golden, snaps) = SnapshotSet::capture(&img, &cfg).unwrap();
-        let spec = AttackSpec { kind: AttackKind::EdgeSplice, nth: 12, param: 5 };
-        let plain = attack(&img, &cfg, spec, &golden).unwrap();
-        let traced = attack_traced_with(&img, &cfg, spec, &golden, 64, Some(&snaps)).unwrap();
+        let trial = Trial::Attack(AttackSpec { kind: AttackKind::EdgeSplice, nth: 12, param: 5 });
+        let plain = run_trial(&img, &cfg, trial, &golden, None).unwrap();
+        let traced = run_trial_traced(&img, &cfg, trial, &golden, 64, Some(&snaps)).unwrap();
         match (plain, traced) {
             (Some(p), Some((t, _, prov))) => {
                 assert_eq!(p, t);
+                let prov = prov.expect("attack trials carry provenance");
                 assert!(prov.attribution.is_some(), "splice target attributes to a block");
             }
             (None, None) => {}

@@ -1,7 +1,7 @@
 //! Fault-injection campaigns: many randomized single-bit faults, aggregated
 //! into a per-category coverage matrix.
 
-use crate::inject::{inject_with, FaultSpec, Golden, InjectionResult, Outcome, WorkloadError};
+use crate::inject::{run_trial, FaultSpec, Golden, InjectionResult, Outcome, Trial, WorkloadError};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{Category, RunConfig};
@@ -99,6 +99,44 @@ pub(crate) fn shard_seed(seed: u64, shard_index: u64) -> u64 {
     rand::splitmix64(&mut state)
 }
 
+/// Single-bit faults per dynamic branch: the 32 address-offset bits, then
+/// the 6 flag bits.
+const FAULTS_PER_BRANCH: u32 = OFFSET_BITS + Flags::BITS;
+
+/// Fault `index` (in `0..FAULTS_PER_BRANCH`) at dynamic branch `nth`.
+fn fault_at(nth: u64, index: u32) -> FaultSpec {
+    if index < OFFSET_BITS {
+        FaultSpec::AddrBit { nth, bit: index as u8 }
+    } else {
+        FaultSpec::FlagBit { nth, bit: (index - OFFSET_BITS) as u8 }
+    }
+}
+
+/// The trial loop shared by fault campaigns, attack campaigns and sweeps:
+/// runs `specs` in order as `trial(spec)`, hands each placed one to
+/// `observer` and tallies it, and counts the unplaceable ones as skipped.
+pub(crate) fn run_trials<S: Copy>(
+    image: &Image,
+    cfg: &RunConfig,
+    golden: &Golden,
+    snapshots: Option<&SnapshotSet>,
+    specs: impl IntoIterator<Item = S>,
+    trial: impl Fn(S) -> Trial,
+    mut observer: impl FnMut(S, &InjectionResult),
+) -> Result<CampaignReport, WorkloadError> {
+    let mut report = CampaignReport::new(golden.clone());
+    for spec in specs {
+        match run_trial(image, cfg, trial(spec), golden, snapshots)? {
+            Some(r) => {
+                observer(spec, &r);
+                report.record(r.category, r.outcome, r.latency_insts);
+            }
+            None => report.skipped += 1,
+        }
+    }
+    Ok(report)
+}
+
 /// A randomized injection campaign over one image + DBT configuration.
 #[derive(Debug, Clone)]
 pub struct Campaign {
@@ -160,7 +198,7 @@ impl Campaign {
     }
 
     /// As [`Campaign::run_shard`], fast-forwarding through `snapshots`
-    /// when provided (see [`inject_with`]) and invoking `observer` with
+    /// when provided (see [`run_trial`]) and invoking `observer` with
     /// every placed trial's spec and result. Observers are for side
     /// channels — telemetry events, forensics capture of interesting
     /// outcomes — and must not influence the tallies; the report is
@@ -175,26 +213,14 @@ impl Campaign {
         golden: &Golden,
         snapshots: Option<&SnapshotSet>,
         shard_index: u64,
-        mut observer: impl FnMut(FaultSpec, &InjectionResult),
+        observer: impl FnMut(FaultSpec, &InjectionResult),
     ) -> Result<CampaignReport, WorkloadError> {
         let mut rng = StdRng::seed_from_u64(self.shard_seed(shard_index));
-        let mut report = CampaignReport::new(golden.clone());
-        for _ in 0..self.shard_trials(shard_index) {
+        let specs = (0..self.shard_trials(shard_index)).map(|_| {
             let nth = rng.gen_range(0..golden.branches.max(1));
-            let bit = rng.gen_range(0..OFFSET_BITS + Flags::BITS) as u8;
-            let spec = if (bit as u32) < OFFSET_BITS {
-                FaultSpec::AddrBit { nth, bit }
-            } else {
-                FaultSpec::FlagBit { nth, bit: bit - OFFSET_BITS as u8 }
-            };
-            if let Some(r) = inject_with(image, &self.config, spec, golden, snapshots)? {
-                observer(spec, &r);
-                report.record(r.category, r.outcome, r.latency_insts);
-            } else {
-                report.skipped += 1;
-            }
-        }
-        Ok(report)
+            fault_at(nth, rng.gen_range(0..FAULTS_PER_BRANCH))
+        });
+        run_trials(image, &self.config, golden, snapshots, specs, Trial::Fault, observer)
     }
 
     /// Runs the campaign against a caller-supplied golden reference,
@@ -273,24 +299,9 @@ impl ExhaustiveSweep {
         golden: &Golden,
         snapshots: Option<&SnapshotSet>,
     ) -> Result<CampaignReport, WorkloadError> {
-        let mut report = CampaignReport::new(golden.clone());
-        for nth in 0..self.branches.min(golden.branches) {
-            for bit in 0..OFFSET_BITS as u8 {
-                let spec = FaultSpec::AddrBit { nth, bit };
-                match inject_with(image, &self.config, spec, golden, snapshots)? {
-                    Some(r) => report.record(r.category, r.outcome, r.latency_insts),
-                    None => report.skipped += 1,
-                }
-            }
-            for bit in 0..Flags::BITS as u8 {
-                let spec = FaultSpec::FlagBit { nth, bit };
-                match inject_with(image, &self.config, spec, golden, snapshots)? {
-                    Some(r) => report.record(r.category, r.outcome, r.latency_insts),
-                    None => report.skipped += 1,
-                }
-            }
-        }
-        Ok(report)
+        let specs = (0..self.branches.min(golden.branches))
+            .flat_map(|nth| (0..FAULTS_PER_BRANCH).map(move |i| fault_at(nth, i)));
+        run_trials(image, &self.config, golden, snapshots, specs, Trial::Fault, |_, _| {})
     }
 }
 

@@ -1,14 +1,15 @@
-//! Forensics bundles: what executed around a fault that ended badly.
+//! Forensics bundles: what executed around a trial that ended badly.
 //!
 //! When a campaign trial produces silent data corruption, a timeout, or a
-//! misdetection (a fault classified as harmless that was not benign), the
-//! runner re-injects the *same* deterministic fault with an execution
-//! tracer attached and packages the evidence: the faulted instruction
-//! address, the flipped bit, the classification, and the tracer's last-N
-//! instruction window and branch history ending at the detection point.
+//! misdetection (a trial classified as harmless that was not benign), the
+//! runner re-runs the *same* deterministic trial with an execution tracer
+//! attached and packages the evidence: the struck instruction address, the
+//! flipped bit or the attack's target, the classification, and the
+//! tracer's last-N instruction window and branch history ending at the
+//! detection point.
 
-use crate::attack::{attack_traced_with, AttackProvenance, AttackSpec};
-use crate::inject::{inject_traced_with, FaultSpec, Golden, InjectionResult, Outcome};
+use crate::attack::AttackProvenance;
+use crate::inject::{run_trial_traced, FaultSpec, Golden, InjectionResult, Outcome, Trial};
 use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{CachePart, Category, RunConfig};
@@ -17,138 +18,103 @@ use cfed_telemetry::json::{obj, Json};
 /// Default instruction-window length retained by forensics captures.
 pub const DEFAULT_TRACE_WINDOW: usize = 64;
 
-/// Evidence package for one interesting trial.
+/// Evidence package for one interesting fault or attack trial.
 #[derive(Debug, Clone)]
-pub struct ForensicsBundle {
-    /// The injected fault.
-    pub spec: FaultSpec,
+pub struct Forensics {
+    /// The trial that was run.
+    pub trial: Trial,
     /// The (re-produced) result.
     pub result: InjectionResult,
+    /// Where an attack went — the seized control transfer's target and the
+    /// translated-block part it landed on. `None` for faults.
+    pub provenance: Option<AttackProvenance>,
     /// The tracer export: `{"retired":…,"window":[…],"branches":[…]}`,
     /// oldest first, ending at the detection point.
     pub trace: Json,
 }
 
-impl ForensicsBundle {
+impl Forensics {
     /// Whether a trial's result warrants a forensics capture: SDC, a
     /// timeout, or a misdetection (classified [`Category::NoError`] — the
-    /// flipped bit supposedly could not change control flow — yet the run
-    /// was not benign).
+    /// corruption supposedly could not change control flow — yet the run
+    /// was not benign). Faults and attacks share this criterion.
     pub fn wanted(result: &InjectionResult) -> bool {
         matches!(result.outcome, Outcome::Sdc | Outcome::Timeout)
             || (result.category == Category::NoError && result.outcome != Outcome::Benign)
     }
 
-    /// Re-injects `spec` with a tracer of `window` instructions attached
-    /// and bundles the evidence. Injection is deterministic, so the result
-    /// matches the plain trial's. Returns `None` if the fault cannot be
-    /// placed (which a previously-placed trial never hits) or if the
+    /// Re-runs `trial` with a tracer of `window` instructions attached,
+    /// fast-forwarding through `snapshots` when provided, and bundles the
+    /// evidence. Trials are deterministic, so the result matches the plain
+    /// trial's, and the bundle is bit-identical with or without snapshots
+    /// (see [`crate::run_trial_traced`]). Returns `None` if the trial cannot
+    /// be placed (which a previously-placed trial never hits) or if the
     /// fault-free prefix misbehaves (ditto — the golden run succeeded).
     pub fn capture(
         image: &Image,
         cfg: &RunConfig,
-        spec: FaultSpec,
-        golden: &Golden,
-        window: usize,
-    ) -> Option<ForensicsBundle> {
-        ForensicsBundle::capture_with(image, cfg, spec, golden, window, None)
-    }
-
-    /// As [`ForensicsBundle::capture`], fast-forwarding through
-    /// `snapshots` when provided. The bundle — result *and* trace — is
-    /// bit-identical to the from-scratch capture (see
-    /// [`inject_traced_with`]).
-    pub fn capture_with(
-        image: &Image,
-        cfg: &RunConfig,
-        spec: FaultSpec,
+        trial: Trial,
         golden: &Golden,
         window: usize,
         snapshots: Option<&SnapshotSet>,
-    ) -> Option<ForensicsBundle> {
-        let (result, tracer) =
-            inject_traced_with(image, cfg, spec, golden, window, snapshots).ok()??;
-        Some(ForensicsBundle { spec, result, trace: tracer.export() })
-    }
-
-    /// Serializes the bundle for the JSONL event sink.
-    pub fn to_json(&self) -> Json {
-        let (kind, nth, bit) = match self.spec {
-            FaultSpec::AddrBit { nth, bit } => ("addr_bit", nth, bit),
-            FaultSpec::FlagBit { nth, bit } => ("flag_bit", nth, bit),
-        };
-        obj(vec![
-            ("fault", Json::Str(kind.to_string())),
-            ("nth_branch", Json::UInt(nth)),
-            ("flipped_bit", Json::UInt(bit as u64)),
-            ("site", Json::UInt(self.result.site)),
-            ("category", Json::Str(self.result.category.to_string())),
-            ("outcome", Json::Str(self.result.outcome.to_string())),
-            ("latency_insts", Json::UInt(self.result.latency_insts)),
-            ("trace", self.trace.clone()),
-        ])
-    }
-}
-
-/// Evidence package for one interesting *attack* trial: the
-/// [`ForensicsBundle`] shape plus gadget provenance — where the seized
-/// control transfer actually went, and which translated-block part it
-/// landed on.
-#[derive(Debug, Clone)]
-pub struct AttackForensics {
-    /// The mounted attack.
-    pub spec: AttackSpec,
-    /// The (re-produced) result.
-    pub result: InjectionResult,
-    /// Where the attack went.
-    pub provenance: AttackProvenance,
-    /// The tracer export, oldest first, ending at the detection point.
-    pub trace: Json,
-}
-
-impl AttackForensics {
-    /// Re-mounts `spec` with a tracer of `window` instructions attached and
-    /// bundles the evidence; deterministic, so the result matches the plain
-    /// trial's. The capture criterion is [`ForensicsBundle::wanted`] —
-    /// attacks and faults share the same notion of "interesting".
-    pub fn capture_with(
-        image: &Image,
-        cfg: &RunConfig,
-        spec: AttackSpec,
-        golden: &Golden,
-        window: usize,
-        snapshots: Option<&SnapshotSet>,
-    ) -> Option<AttackForensics> {
+    ) -> Option<Forensics> {
         let (result, tracer, provenance) =
-            attack_traced_with(image, cfg, spec, golden, window, snapshots).ok()??;
-        Some(AttackForensics { spec, result, provenance, trace: tracer.export() })
+            run_trial_traced(image, cfg, trial, golden, window, snapshots).ok()??;
+        Some(Forensics { trial, result, provenance, trace: tracer.export() })
     }
 
-    /// Serializes the bundle for the JSONL event sink.
+    /// Serializes the bundle for the JSONL event sink: `fault`,
+    /// `nth_branch`, `flipped_bit`, `site` for faults; `attack`,
+    /// `nth_branch`, `param`, `site`, `target`, `attribution` for attacks;
+    /// then `category`, `outcome`, `latency_insts` and `trace` for both.
     pub fn to_json(&self) -> Json {
-        let part = |p: CachePart| match p {
-            CachePart::Head => "head",
-            CachePart::Payload => "payload",
-            CachePart::Tail => "tail",
+        let site = ("site", Json::UInt(self.result.site));
+        let mut fields = match self.trial {
+            Trial::Fault(spec) => {
+                let (kind, nth, bit) = match spec {
+                    FaultSpec::AddrBit { nth, bit } => ("addr_bit", nth, bit),
+                    FaultSpec::FlagBit { nth, bit } => ("flag_bit", nth, bit),
+                };
+                vec![
+                    ("fault", Json::Str(kind.to_string())),
+                    ("nth_branch", Json::UInt(nth)),
+                    ("flipped_bit", Json::UInt(bit as u64)),
+                    site,
+                ]
+            }
+            Trial::Attack(spec) => {
+                let provenance = self.provenance.expect("attack trials carry provenance");
+                let attribution = match provenance.attribution {
+                    Some((guest_start, p)) => obj(vec![
+                        ("guest_block", Json::UInt(guest_start)),
+                        ("part", Json::Str(part_name(p).to_string())),
+                    ]),
+                    None => Json::Null,
+                };
+                vec![
+                    ("attack", Json::Str(spec.kind.name().to_string())),
+                    ("nth_branch", Json::UInt(spec.nth)),
+                    ("param", Json::UInt(spec.param)),
+                    site,
+                    ("target", Json::UInt(provenance.target)),
+                    ("attribution", attribution),
+                ]
+            }
         };
-        let attribution = match self.provenance.attribution {
-            Some((guest_start, p)) => obj(vec![
-                ("guest_block", Json::UInt(guest_start)),
-                ("part", Json::Str(part(p).to_string())),
-            ]),
-            None => Json::Null,
-        };
-        obj(vec![
-            ("attack", Json::Str(self.spec.kind.name().to_string())),
-            ("nth_branch", Json::UInt(self.spec.nth)),
-            ("param", Json::UInt(self.spec.param)),
-            ("site", Json::UInt(self.result.site)),
-            ("target", Json::UInt(self.provenance.target)),
-            ("attribution", attribution),
+        fields.extend([
             ("category", Json::Str(self.result.category.to_string())),
             ("outcome", Json::Str(self.result.outcome.to_string())),
             ("latency_insts", Json::UInt(self.result.latency_insts)),
             ("trace", self.trace.clone()),
-        ])
+        ]);
+        obj(fields)
+    }
+}
+
+fn part_name(p: CachePart) -> &'static str {
+    match p {
+        CachePart::Head => "head",
+        CachePart::Payload => "payload",
+        CachePart::Tail => "tail",
     }
 }

@@ -1,4 +1,5 @@
-//! Single-fault injection into DBT-translated code.
+//! Single-fault injection into DBT-translated code, and the trial loop
+//! that runs faults and attacks alike.
 //!
 //! Realizes the experiment the paper leaves as future work ("we will also
 //! work on soft-error injection to measure the actual effectiveness of our
@@ -8,7 +9,8 @@
 //! *translated* code, so the instrumentation's own inserted branches are
 //! fault sites too — exactly the surface RCF exists to protect (§3.2).
 
-use crate::snapshot::{SnapshotBuilder, SnapshotSet};
+use crate::attack::{attack_now, AttackProvenance, AttackSpec};
+use crate::snapshot::SnapshotSet;
 use cfed_asm::Image;
 use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, Category,
@@ -16,7 +18,7 @@ use cfed_core::{
 };
 use cfed_dbt::{Dbt, DbtStep};
 use cfed_isa::{Flags, INST_SIZE_U64};
-use cfed_sim::{Machine, Trap};
+use cfed_sim::{Machine, Tracer, Trap};
 
 /// The *fault-free* execution misbehaved: the workload itself is unsound
 /// under the given configuration. Distinct from an unplaceable fault
@@ -57,14 +59,6 @@ pub enum FaultSpec {
     /// Flip bit `bit` (0–5) of the flags register immediately before the
     /// `nth` dynamic branch execution.
     FlagBit { nth: u64, bit: u8 },
-}
-
-impl FaultSpec {
-    fn nth(&self) -> u64 {
-        match self {
-            FaultSpec::AddrBit { nth, .. } | FaultSpec::FlagBit { nth, .. } => *nth,
-        }
-    }
 }
 
 /// How an injected run ended.
@@ -175,51 +169,83 @@ pub struct Golden {
 /// within the budget — the workload itself is unsound under this
 /// configuration.
 pub fn golden_run(image: &Image, cfg: &RunConfig) -> Result<Golden, WorkloadError> {
-    golden_inner(image, cfg, None)
+    golden_inner(image, cfg, |_, _, _| {})
 }
 
-/// The golden-run loop, optionally capturing fast-forward checkpoints.
-/// Capture observes the machine without perturbing it, so the returned
-/// golden is identical with or without a builder.
+/// The fault-free run behind [`golden_run`], snapshot capture and the
+/// attack-surface walk: `at_branch` sees the machine just before each
+/// dynamic branch executes, with that branch's index. It only observes, so
+/// the returned golden is the same whatever it does.
 pub(crate) fn golden_inner(
     image: &Image,
     cfg: &RunConfig,
-    mut snapshots: Option<&mut SnapshotBuilder>,
+    mut at_branch: impl FnMut(&mut Machine, &Dbt, u64),
 ) -> Result<Golden, WorkloadError> {
     let (mut m, mut dbt) = build(image, cfg);
-    let mut branches = 0u64;
+    let walk = walk_branches(&mut m, &mut dbt, cfg.max_insts, 0, |m, dbt, index| {
+        at_branch(m, dbt, index);
+        false
+    });
+    match walk {
+        Walk::Halted { branches } => Ok(Golden {
+            output: m.cpu.take_output(),
+            exit_code: m.cpu.reg(cfed_isa::Reg::R0),
+            insts: m.cpu.stats().insts,
+            branches,
+        }),
+        Walk::OutOfBudget => Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts }),
+        Walk::Trapped(t) => Err(WorkloadError::Trapped(t)),
+        Walk::Stopped => unreachable!("the fault-free walk never stops early"),
+    }
+}
+
+/// How [`walk_branches`] ended.
+enum Walk {
+    /// `stop_at` held just before a dynamic branch executed.
+    Stopped,
+    /// The program halted; `branches` is the index the next dynamic branch
+    /// would have had.
+    Halted { branches: u64 },
+    /// The machine retired its instruction budget first.
+    OutOfBudget,
+    /// The program trapped.
+    Trapped(Trap),
+}
+
+/// Steps `m` one instruction at a time until the program halts or traps,
+/// `budget` instructions have retired, or `stop_at` holds. `stop_at` runs
+/// just before each dynamic branch executes, with the branch's index
+/// counted from `first` (the index of the next branch the machine meets).
+/// The golden run and every trial's fault-free prefix step through here, so
+/// a checkpoint taken at index `i` is exactly the state a trial striking at
+/// `i` stops in.
+fn walk_branches(
+    m: &mut Machine,
+    dbt: &mut Dbt,
+    budget: u64,
+    first: u64,
+    mut stop_at: impl FnMut(&mut Machine, &Dbt, u64) -> bool,
+) -> Walk {
+    let mut index = first;
     loop {
-        if m.cpu.stats().insts >= cfg.max_insts {
-            return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts });
+        if m.cpu.stats().insts >= budget {
+            return Walk::OutOfBudget;
         }
-        if let Ok(inst) = m.peek_inst() {
-            if inst.is_branch() {
-                // About to execute dynamic branch `branches`: the same
-                // instant inject_inner's prefix loop identifies as
-                // `seen_branches == branches`, which is what makes a
-                // restored checkpoint equivalent to stepping here.
-                if let Some(b) = snapshots.as_deref_mut() {
-                    b.observe_branch(branches, &mut m, &dbt);
-                }
-                branches += 1;
+        if m.peek_inst().is_ok_and(|i| i.is_branch()) {
+            if stop_at(m, dbt, index) {
+                return Walk::Stopped;
             }
+            index += 1;
         }
-        match dbt.step(&mut m) {
+        match dbt.step(m) {
             DbtStep::Continue => {}
-            DbtStep::Halted => {
-                return Ok(Golden {
-                    output: m.cpu.take_output(),
-                    exit_code: m.cpu.reg(cfed_isa::Reg::R0),
-                    insts: m.cpu.stats().insts,
-                    branches,
-                })
-            }
-            DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
+            DbtStep::Halted => return Walk::Halted { branches: index },
+            DbtStep::Exit(t) => return Walk::Trapped(t),
         }
     }
 }
 
-pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
+fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
     // Attach eagerly: branch counting and fault placement must happen on
@@ -229,105 +255,130 @@ pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     (m, dbt)
 }
 
-/// Injects one fault and runs to an outcome, replaying the fault-free
-/// prefix from scratch.
+/// One experiment at a dynamic branch: a single-bit soft error or an
+/// attack. Both kinds run through [`run_trial`] to the same
+/// [`InjectionResult`], so campaigns, stores and reports treat them alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trial {
+    /// A single-bit soft error.
+    Fault(FaultSpec),
+    /// An attacker-chosen control-flow corruption.
+    Attack(AttackSpec),
+}
+
+impl Trial {
+    /// The dynamic branch execution the trial strikes at (0-based).
+    fn nth(&self) -> u64 {
+        match self {
+            Trial::Fault(FaultSpec::AddrBit { nth, .. } | FaultSpec::FlagBit { nth, .. }) => *nth,
+            Trial::Attack(spec) => spec.nth,
+        }
+    }
+}
+
+/// A corruption applied at the strike branch, as the trial loop needs it.
+pub(crate) struct Strike {
+    pub(crate) category: Category,
+    /// Cache address of the struck branch.
+    pub(crate) site: u64,
+    /// See [`InjectionResult::instrumentation_landing`].
+    pub(crate) landing: bool,
+    /// Where an attack went; `None` for faults.
+    pub(crate) provenance: Option<AttackProvenance>,
+    /// The step result of the corrupted instruction.
+    pub(crate) step: DbtStep,
+}
+
+/// Runs one trial to an outcome, fast-forwarding through `snapshots` when
+/// provided: the nearest checkpoint at-or-below the strike branch is
+/// restored and only the residual prefix is stepped, reusing the
+/// checkpoint's translated code cache. Falls back to from-scratch when the
+/// set was captured under a different configuration or holds no usable
+/// checkpoint. The outcome is bit-identical to the from-scratch path either
+/// way.
 ///
-/// Returns `Ok(None)` when `spec` names a dynamic branch beyond the
-/// program's execution (use [`golden_run`]'s branch count to stay in
-/// range).
+/// Returns `Ok(None)` when the trial is unplaceable: it names a dynamic
+/// branch beyond the program's execution (use [`golden_run`]'s branch
+/// count to stay in range), or an attack archetype has no candidate target
+/// there.
 ///
 /// # Errors
 ///
 /// [`WorkloadError`] when the fault-free prefix itself misbehaves — only
 /// possible when `golden` does not actually describe this
 /// `(image, config)`.
+pub fn run_trial(
+    image: &Image,
+    cfg: &RunConfig,
+    trial: Trial,
+    golden: &Golden,
+    snapshots: Option<&SnapshotSet>,
+) -> Result<Option<InjectionResult>, WorkloadError> {
+    Ok(run_trial_inner(image, cfg, trial, golden, None, snapshots)?.map(|(r, _, _)| r))
+}
+
+/// [`run_trial`] for a fault from scratch. Kept as a one-line delegation
+/// because `perfbench/` calls it.
+///
+/// # Errors
+///
+/// As [`run_trial`].
 pub fn inject(
     image: &Image,
     cfg: &RunConfig,
     spec: FaultSpec,
     golden: &Golden,
 ) -> Result<Option<InjectionResult>, WorkloadError> {
-    inject_with(image, cfg, spec, golden, None)
+    run_trial(image, cfg, Trial::Fault(spec), golden, None)
 }
 
-/// As [`inject`], fast-forwarding through `snapshots` when provided: the
-/// nearest checkpoint at-or-below the target branch is restored and only
-/// the residual prefix is stepped, reusing the checkpoint's translated
-/// code cache. Falls back to from-scratch when the set was captured under
-/// a different configuration or holds no usable checkpoint. The outcome is
-/// bit-identical to the from-scratch path either way.
-///
-/// # Errors
-///
-/// As [`inject`].
-pub fn inject_with(
-    image: &Image,
-    cfg: &RunConfig,
-    spec: FaultSpec,
-    golden: &Golden,
-    snapshots: Option<&SnapshotSet>,
-) -> Result<Option<InjectionResult>, WorkloadError> {
-    Ok(inject_inner(image, cfg, spec, golden, None, snapshots)?.map(|(r, _)| r))
-}
-
-/// As [`inject_with`], but with an execution tracer of `capacity`
-/// instructions attached, returning the result alongside the tracer at its
-/// final state — the last-N window ends at the detection point (the
-/// trapping instruction itself never commits, hence never appears).
-/// Injection is deterministic, so re-running a plain [`inject`] trial
-/// through here reproduces the identical outcome with forensics attached.
+/// As [`run_trial`], with an execution tracer of `capacity` instructions
+/// attached, returning the result alongside the tracer at its final state
+/// — the last-N window ends at the detection point (the trapping
+/// instruction itself never commits, hence never appears) — and, for
+/// attacks, where the attack went. Trials are deterministic, so re-running
+/// a plain trial through here reproduces the identical outcome with
+/// forensics attached.
 ///
 /// With `snapshots`, the trace stays bit-identical to the from-scratch
-/// path: only checkpoints at least `capacity` branches before the
-/// injection point are used (every branch is an instruction, so at least
-/// `capacity` instructions and `capacity` branches retire between restore
-/// and injection, filling both tracer rings with exactly the entries the
-/// from-scratch run would hold), and the tracer's retired counter resumes
-/// from the checkpoint's instruction count.
+/// path: only checkpoints at least `capacity` branches before the strike
+/// point are used (every branch is an instruction, so at least `capacity`
+/// instructions and `capacity` branches retire between restore and strike,
+/// filling both tracer rings with exactly the entries the from-scratch run
+/// would hold), and the tracer's retired counter resumes from the
+/// checkpoint's instruction count.
 ///
 /// # Errors
 ///
-/// As [`inject`].
-pub fn inject_traced_with(
+/// As [`run_trial`].
+pub fn run_trial_traced(
     image: &Image,
     cfg: &RunConfig,
-    spec: FaultSpec,
+    trial: Trial,
     golden: &Golden,
     capacity: usize,
     snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, cfed_sim::Tracer)>, WorkloadError> {
-    Ok(inject_inner(image, cfg, spec, golden, Some(capacity), snapshots)?
-        .map(|(r, t)| (r, t.expect("tracer attached"))))
+) -> Result<Option<(InjectionResult, Tracer, Option<AttackProvenance>)>, WorkloadError> {
+    Ok(run_trial_inner(image, cfg, trial, golden, Some(capacity), snapshots)?
+        .map(|(r, t, p)| (r, t.expect("tracer attached"), p)))
 }
 
-fn inject_inner(
+/// A finished trial: its result, the tracer when one was attached, and
+/// where an attack went.
+type Finished = (InjectionResult, Option<Tracer>, Option<AttackProvenance>);
+
+/// The trial loop: replay (or fast-forward) the fault-free prefix to the
+/// strike branch, corrupt the machine there as `trial` says, then run to an
+/// outcome.
+fn run_trial_inner(
     image: &Image,
     cfg: &RunConfig,
-    spec: FaultSpec,
+    trial: Trial,
     golden: &Golden,
     trace_capacity: Option<usize>,
     snapshots: Option<&SnapshotSet>,
-) -> Result<Option<(InjectionResult, Option<cfed_sim::Tracer>)>, WorkloadError> {
-    run_trial_inner(image, cfg, spec.nth(), golden, trace_capacity, snapshots, |m, dbt, image| {
-        inject_now(m, dbt, image, spec)
-    })
-}
-
-/// The shared trial loop behind both fault injection and attack synthesis:
-/// replay (or fast-forward) the fault-free prefix to the `nth` dynamic
-/// branch, let `apply` corrupt the machine there, then run to an outcome.
-/// `apply` returns the corruption's `(category, site, instrumentation
-/// landing, step result)`, or `None` when it cannot be placed at this
-/// branch.
-pub(crate) fn run_trial_inner(
-    image: &Image,
-    cfg: &RunConfig,
-    nth: u64,
-    golden: &Golden,
-    trace_capacity: Option<usize>,
-    snapshots: Option<&SnapshotSet>,
-    apply: impl FnOnce(&mut Machine, &mut Dbt, &Image) -> Option<(Category, u64, bool, DbtStep)>,
-) -> Result<Option<(InjectionResult, Option<cfed_sim::Tracer>)>, WorkloadError> {
+) -> Result<Option<Finished>, WorkloadError> {
+    let nth = trial.nth();
     // Fast-forward: restore the nearest checkpoint at-or-below the target
     // branch instead of replaying the prefix. Traced runs additionally
     // require `capacity` branches of margin before the injection point so
@@ -344,7 +395,7 @@ pub(crate) fn run_trial_inner(
             None => s.note_miss(nth),
         }
     }
-    let (mut m, mut dbt, mut seen_branches) = match restored {
+    let (mut m, mut dbt, first) = match restored {
         Some(snap) => (snap.machine.restore(), snap.dbt.clone(), snap.branch_index),
         None => {
             let (m, dbt) = build(image, cfg);
@@ -359,26 +410,18 @@ pub(crate) fn run_trial_inner(
     }
     let budget = golden.insts * 3 + 100_000;
 
-    // Phase 1: run to the injection point.
-    let injected = loop {
-        if m.cpu.stats().insts >= budget {
-            return Ok(None);
-        }
-        let at_branch = m.peek_inst().map(|i| i.is_branch()).unwrap_or(false);
-        if at_branch {
-            if seen_branches == nth {
-                break apply(&mut m, &mut dbt, image);
-            }
-            seen_branches += 1;
-        }
-        match dbt.step(&mut m) {
-            DbtStep::Continue => {}
-            // Program ended before the nth branch.
-            DbtStep::Halted => return Ok(None),
-            DbtStep::Exit(t) => return Err(WorkloadError::Trapped(t)),
-        }
+    // Phase 1: run to the strike point and corrupt the machine there.
+    match walk_branches(&mut m, &mut dbt, budget, first, |_, _, index| index == nth) {
+        Walk::Stopped => {}
+        // Out of budget, or the program ended before the nth branch.
+        Walk::OutOfBudget | Walk::Halted { .. } => return Ok(None),
+        Walk::Trapped(t) => return Err(WorkloadError::Trapped(t)),
+    }
+    let strike = match trial {
+        Trial::Fault(spec) => Some(inject_now(&mut m, &mut dbt, image, spec)),
+        Trial::Attack(spec) => attack_now(&mut m, &mut dbt, image, spec),
     };
-    let Some((category, site, instrumentation_landing, faulted_step)) = injected else {
+    let Some(strike) = strike else {
         return Ok(None);
     };
     let insts_at_injection = m.cpu.stats().insts;
@@ -404,7 +447,7 @@ pub(crate) fn run_trial_inner(
     // exactly the situation state equality certifies, and misaligned
     // comparisons simply fail (the CPU's retired counters differ).
     let mut trial_branch = nth;
-    let mut pending = Some(faulted_step);
+    let mut pending = Some(strike.step);
     let (outcome, pruned_latency) = loop {
         if m.cpu.stats().insts >= budget {
             break (Outcome::Timeout, None);
@@ -440,12 +483,12 @@ pub(crate) fn run_trial_inner(
 
     let result = InjectionResult {
         outcome,
-        category,
-        site,
+        category: strike.category,
+        site: strike.site,
         latency_insts: pruned_latency.unwrap_or(m.cpu.stats().insts - insts_at_injection),
-        instrumentation_landing,
+        instrumentation_landing: strike.landing,
     };
-    Ok(Some((result, m.tracer.take())))
+    Ok(Some((result, m.tracer.take(), strike.provenance)))
 }
 
 /// Scans straight-line code from `from` for the next flag-reading branch
@@ -470,7 +513,7 @@ fn stale_flags_flip_downstream(m: &Machine, from: u64, flipped: Flags) -> bool {
 }
 
 /// Classifies a surfaced trap as a detection outcome.
-pub(crate) fn outcome_of_trap(t: Trap) -> Outcome {
+fn outcome_of_trap(t: Trap) -> Outcome {
     if t.is_cfe_report() {
         Outcome::DetectedByCheck
     } else if t.is_hardware_cfe_detection() {
@@ -481,15 +524,8 @@ pub(crate) fn outcome_of_trap(t: Trap) -> Outcome {
 }
 
 /// Applies the fault at the current instruction (a branch), executes that
-/// one instruction, and restores any transient state. Returns the fault's
-/// category, site, whether the faulty target landed on instrumentation,
-/// and the step result of the faulted instruction.
-fn inject_now(
-    m: &mut Machine,
-    dbt: &mut Dbt,
-    image: &Image,
-    spec: FaultSpec,
-) -> Option<(Category, u64, bool, DbtStep)> {
+/// one instruction, and restores any transient state.
+fn inject_now(m: &mut Machine, dbt: &mut Dbt, image: &Image, spec: FaultSpec) -> Strike {
     let site = m.cpu.ip();
     let inst = m.peek_inst().expect("branch decodes");
     debug_assert!(inst.is_branch());
@@ -527,7 +563,7 @@ fn inject_now(
             m.mem.install(site, &faulted);
             let step = dbt.step(m);
             m.mem.install(site, &original);
-            Some((category, site, glue, step))
+            Strike { category, site, landing: glue, provenance: None, step }
         }
         FaultSpec::FlagBit { bit, .. } => {
             let flipped = m.cpu.flags().with_bit_flipped(bit % Flags::BITS as u8);
@@ -548,7 +584,7 @@ fn inject_now(
             let category = classify_flag_fault(direction_changed);
             m.cpu.set_flags(flipped);
             let step = dbt.step(m);
-            Some((category, site, false, step))
+            Strike { category, site, landing: false, provenance: None, step }
         }
     }
 }
@@ -599,8 +635,14 @@ mod tests {
         let img = image();
         let cfg = RunConfig::technique(TechniqueKind::EdgCf);
         let g = golden_run(&img, &cfg).unwrap();
-        let r =
-            inject(&img, &cfg, FaultSpec::AddrBit { nth: g.branches + 100, bit: 3 }, &g).unwrap();
+        let r = run_trial(
+            &img,
+            &cfg,
+            Trial::Fault(FaultSpec::AddrBit { nth: g.branches + 100, bit: 3 }),
+            &g,
+            None,
+        )
+        .unwrap();
         assert!(r.is_none());
     }
 
@@ -613,7 +655,9 @@ mod tests {
         // benign (single-fault model, no other corruption).
         let mut found = false;
         for nth in 0..40 {
-            let r = inject(&img, &cfg, FaultSpec::FlagBit { nth, bit: 1 }, &g).unwrap();
+            let r =
+                run_trial(&img, &cfg, Trial::Fault(FaultSpec::FlagBit { nth, bit: 1 }), &g, None)
+                    .unwrap();
             if let Some(r) = r {
                 if r.category == Category::NoError {
                     assert_eq!(r.outcome, Outcome::Benign, "NoError fault at {nth} not benign");
@@ -635,7 +679,10 @@ mod tests {
         let mut hw = 0;
         let mut tried = 0;
         for nth in (0..g.branches.min(60)).step_by(7) {
-            if let Some(r) = inject(&img, &cfg, FaultSpec::AddrBit { nth, bit: 30 }, &g).unwrap() {
+            if let Some(r) =
+                run_trial(&img, &cfg, Trial::Fault(FaultSpec::AddrBit { nth, bit: 30 }), &g, None)
+                    .unwrap()
+            {
                 tried += 1;
                 if r.category == Category::F {
                     assert!(
@@ -667,12 +714,16 @@ mod tests {
         for nth in 0..60 {
             for bit in [3u8, 4, 5] {
                 let spec_b = FaultSpec::AddrBit { nth, bit };
-                if let Some(r) = inject(&img, &base_cfg, spec_b, &g_base).unwrap() {
+                if let Some(r) =
+                    run_trial(&img, &base_cfg, Trial::Fault(spec_b), &g_base, None).unwrap()
+                {
                     if r.category != Category::NoError && !r.outcome.is_detected() {
                         baseline_undetected += 1;
                     }
                 }
-                if let Some(r) = inject(&img, &rcf_cfg, spec_b, &g_rcf).unwrap() {
+                if let Some(r) =
+                    run_trial(&img, &rcf_cfg, Trial::Fault(spec_b), &g_rcf, None).unwrap()
+                {
                     if r.category != Category::NoError {
                         match r.outcome {
                             Outcome::DetectedByCheck => rcf_detected += 1,

@@ -14,6 +14,10 @@
 //!   measure the security detection frontier (DESIGN.md § "Attack
 //!   model").
 //!
+//! A soft error and an attack are both a [`Trial`] at a dynamic branch;
+//! [`run_trial`] runs either kind to the same [`InjectionResult`], and
+//! [`Forensics`] re-runs an interesting one with a tracer attached.
+//!
 //! ## Example
 //!
 //! ```
@@ -38,16 +42,16 @@ pub mod inject;
 pub mod snapshot;
 
 pub use attack::{
-    attack, attack_traced_with, attack_with, pause_attack, AttackCampaign, AttackKind, AttackModel,
-    AttackProvenance, AttackSpec, AttackSurface, PauseAttack,
+    attack, pause_attack, AttackCampaign, AttackKind, AttackModel, AttackProvenance, AttackSpec,
+    AttackSurface, PauseAttack,
 };
 pub use campaign::{
     Campaign, CampaignReport, CategoryStats, ExhaustiveSweep, LatencyGrid, SHARD_TRIALS,
 };
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
-pub use forensics::{AttackForensics, ForensicsBundle, DEFAULT_TRACE_WINDOW};
+pub use forensics::{Forensics, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    golden_run, inject, inject_traced_with, inject_with, FaultSpec, Golden, InjectionResult,
-    Outcome, WorkloadError,
+    golden_run, inject, run_trial, run_trial_traced, FaultSpec, Golden, InjectionResult, Outcome,
+    Trial, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

@@ -4,9 +4,9 @@
 //! nth dynamic branch — O(program length) of single-stepping and a full
 //! re-translation per trial. During the golden run this module captures
 //! periodic `(Machine, Dbt)` snapshots keyed by dynamic-branch index;
-//! [`crate::inject::inject_with`] then restores the nearest snapshot
-//! at-or-below the target branch and steps only the residual prefix,
-//! reusing the translated code cache instead of re-translating.
+//! [`crate::run_trial`] then restores the nearest snapshot at-or-below the
+//! target branch and steps only the residual prefix, reusing the
+//! translated code cache instead of re-translating.
 //!
 //! Both halves of a snapshot are captured at the same instant and restored
 //! together: the [`cfed_sim::MachineSnapshot`] holds the architectural
@@ -84,7 +84,8 @@ impl SnapshotSet {
     /// instruction budget.
     pub fn capture(image: &Image, cfg: &RunConfig) -> Result<(Golden, SnapshotSet), WorkloadError> {
         let mut builder = SnapshotBuilder::new();
-        let golden = golden_inner(image, cfg, Some(&mut builder))?;
+        let golden =
+            golden_inner(image, cfg, |m, dbt, index| builder.observe_branch(index, m, dbt))?;
         Ok((golden, builder.finish(*cfg)))
     }
 

@@ -8,7 +8,7 @@
 use cfed_core::{Category, RunConfig, TechniqueKind};
 use cfed_dbt::UpdateStyle;
 use cfed_fault::{
-    attack, attack_traced_with, attack_with, AttackKind, AttackModel, AttackSpec, SnapshotSet,
+    run_trial, run_trial_traced, AttackKind, AttackModel, AttackSpec, SnapshotSet, Trial,
 };
 use proptest::prelude::*;
 
@@ -136,14 +136,14 @@ proptest! {
         prop_assert!(golden.branches > 0, "looped programs execute branches");
 
         let kind = AttackKind::ALL[kind_idx];
-        let spec = AttackSpec { kind, nth: nth_seed % golden.branches, param };
+        let spec = Trial::Attack(AttackSpec { kind, nth: nth_seed % golden.branches, param });
 
-        let scratch = attack(&image, &cfg, spec, &golden).expect("well-behaved prefix");
-        let fast = attack_with(&image, &cfg, spec, &golden, Some(&snapshots))
+        let scratch = run_trial(&image, &cfg, spec, &golden, None).expect("well-behaved prefix");
+        let fast = run_trial(&image, &cfg, spec, &golden, Some(&snapshots))
             .expect("well-behaved prefix");
         prop_assert_eq!(&scratch, &fast, "fast-forward diverged for {:?}", spec);
 
-        let traced = attack_traced_with(&image, &cfg, spec, &golden, 32, Some(&snapshots))
+        let traced = run_trial_traced(&image, &cfg, spec, &golden, 32, Some(&snapshots))
             .expect("well-behaved prefix");
         match (scratch, traced) {
             (Some(r), Some((t, _, provenance))) => {
@@ -155,7 +155,7 @@ proptest! {
                 // Redirect archetypes record where the gadget actually went.
                 if kind != AttackKind::FlipBranch {
                     prop_assert!(
-                        provenance.target != 0,
+                        provenance.is_some_and(|p| p.target != 0),
                         "{} placed without a target", kind
                     );
                 }

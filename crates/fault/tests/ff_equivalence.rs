@@ -6,9 +6,7 @@
 
 use cfed_core::{RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_fault::{
-    inject, inject_with, FaultSpec, ForensicsBundle, SnapshotSet, DEFAULT_TRACE_WINDOW,
-};
+use cfed_fault::{run_trial, FaultSpec, Forensics, SnapshotSet, Trial, DEFAULT_TRACE_WINDOW};
 use proptest::prelude::*;
 
 /// Small MiniC workloads with different branch mixes: a counted loop, a
@@ -60,7 +58,7 @@ const TECHNIQUES: [Option<TechniqueKind>; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// `inject_with(…, Some(snapshots))` returns a bit-identical
+    /// `run_trial(…, Some(snapshots))` returns a bit-identical
     /// [`cfed_fault::InjectionResult`] to the from-scratch path, and the
     /// forensics bundle (result *and* tracer export) matches byte for
     /// byte.
@@ -85,20 +83,20 @@ proptest! {
         prop_assert!(golden.branches > 0, "looped programs execute branches");
 
         let nth = nth_seed % golden.branches;
-        let spec = if addr_fault {
+        let spec = Trial::Fault(if addr_fault {
             FaultSpec::AddrBit { nth, bit: bit_seed % 32 }
         } else {
             FaultSpec::FlagBit { nth, bit: bit_seed % 6 }
-        };
+        });
 
-        let scratch = inject(&image, &cfg, spec, &golden).expect("well-behaved prefix");
-        let fast = inject_with(&image, &cfg, spec, &golden, Some(&snapshots))
+        let scratch = run_trial(&image, &cfg, spec, &golden, None).expect("well-behaved prefix");
+        let fast = run_trial(&image, &cfg, spec, &golden, Some(&snapshots))
             .expect("well-behaved prefix");
         prop_assert_eq!(scratch, fast, "plain injection diverged for {:?}", spec);
 
         let from_scratch =
-            ForensicsBundle::capture(&image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW);
-        let fast_forward = ForensicsBundle::capture_with(
+            Forensics::capture(&image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW, None);
+        let fast_forward = Forensics::capture(
             &image, &cfg, spec, &golden, DEFAULT_TRACE_WINDOW, Some(&snapshots),
         );
         match (from_scratch, fast_forward) {

@@ -1,9 +1,10 @@
 //! Forensics-bundle coverage: a known single-bit branch-offset fault must
 //! yield a bundle naming the faulted instruction, the flipped bit, and a
-//! non-empty trace window ending at the detection point.
+//! non-empty trace window ending at the detection point; an attack bundle
+//! carries its target and attribution in a pinned key layout.
 
 use cfed_core::{RunConfig, TechniqueKind};
-use cfed_fault::{golden_run, inject, FaultSpec, ForensicsBundle, Outcome};
+use cfed_fault::{golden_run, run_trial, FaultSpec, Forensics, Outcome, Trial};
 use cfed_lang::compile;
 use cfed_telemetry::json::Json;
 
@@ -24,6 +25,12 @@ fn image() -> cfed_asm::Image {
     .unwrap()
 }
 
+/// A bundle's top-level keys, in emission order.
+fn keys(bundle: &Json) -> Vec<&str> {
+    let Json::Obj(pairs) = bundle else { panic!("bundle is an object") };
+    pairs.iter().map(|(k, _)| k.as_str()).collect()
+}
+
 #[test]
 fn bundle_names_fault_site_bit_and_trace_window() {
     let img = image();
@@ -36,7 +43,7 @@ fn bundle_names_fault_site_bit_and_trace_window() {
     'scan: for nth in 0..g.branches.min(80) {
         for bit in [3u8, 4, 5] {
             let spec = FaultSpec::AddrBit { nth, bit };
-            if let Some(r) = inject(&img, &cfg, spec, &g).unwrap() {
+            if let Some(r) = run_trial(&img, &cfg, Trial::Fault(spec), &g, None).unwrap() {
                 if r.outcome == Outcome::DetectedByCheck {
                     found = Some((spec, r));
                     break 'scan;
@@ -50,13 +57,26 @@ fn bundle_names_fault_site_bit_and_trace_window() {
     // Re-injection with a window large enough to retain the whole
     // injection-to-detection stretch.
     let window = (plain.latency_insts + 16) as usize;
-    let bundle = ForensicsBundle::capture(&img, &cfg, spec, &g, window)
+    let bundle = Forensics::capture(&img, &cfg, Trial::Fault(spec), &g, window, None)
         .expect("previously placed fault re-injects");
 
     // Deterministic reproduction: identical result.
     assert_eq!(bundle.result, plain);
 
     let j = bundle.to_json();
+    assert_eq!(
+        keys(&j),
+        [
+            "fault",
+            "nth_branch",
+            "flipped_bit",
+            "site",
+            "category",
+            "outcome",
+            "latency_insts",
+            "trace"
+        ]
+    );
     assert_eq!(j.get("fault").and_then(Json::as_str), Some("addr_bit"));
     assert_eq!(j.get("site").and_then(Json::as_u64), Some(plain.site));
     assert_eq!(j.get("flipped_bit").and_then(Json::as_u64), Some(bit as u64));
@@ -94,10 +114,54 @@ fn wanted_selects_bad_endings() {
         latency_insts: 0,
         instrumentation_landing: false,
     };
-    assert!(ForensicsBundle::wanted(&r(Category::A, Outcome::Sdc)));
-    assert!(ForensicsBundle::wanted(&r(Category::B, Outcome::Timeout)));
+    assert!(Forensics::wanted(&r(Category::A, Outcome::Sdc)));
+    assert!(Forensics::wanted(&r(Category::B, Outcome::Timeout)));
     // Misdetection: supposedly harmless, yet not benign.
-    assert!(ForensicsBundle::wanted(&r(Category::NoError, Outcome::DetectedByCheck)));
-    assert!(!ForensicsBundle::wanted(&r(Category::NoError, Outcome::Benign)));
-    assert!(!ForensicsBundle::wanted(&r(Category::A, Outcome::DetectedByCheck)));
+    assert!(Forensics::wanted(&r(Category::NoError, Outcome::DetectedByCheck)));
+    assert!(!Forensics::wanted(&r(Category::NoError, Outcome::Benign)));
+    assert!(!Forensics::wanted(&r(Category::A, Outcome::DetectedByCheck)));
+}
+
+#[test]
+fn attack_bundle_carries_provenance_in_pinned_layout() {
+    use cfed_fault::{AttackKind, AttackSpec};
+    let img = image();
+    let cfg = RunConfig::technique(TechniqueKind::EdgCf);
+    let g = golden_run(&img, &cfg).unwrap();
+
+    let (spec, plain) = (0..g.branches.min(80))
+        .find_map(|nth| {
+            let spec = AttackSpec { kind: AttackKind::EdgeSplice, nth, param: nth };
+            run_trial(&img, &cfg, Trial::Attack(spec), &g, None).unwrap().map(|r| (spec, r))
+        })
+        .expect("an edge splice places");
+    let bundle = Forensics::capture(&img, &cfg, Trial::Attack(spec), &g, 64, None)
+        .expect("previously placed attack re-mounts");
+    assert_eq!(bundle.result, plain);
+    let provenance = bundle.provenance.expect("attack bundles carry provenance");
+
+    let j = bundle.to_json();
+    assert_eq!(
+        keys(&j),
+        [
+            "attack",
+            "nth_branch",
+            "param",
+            "site",
+            "target",
+            "attribution",
+            "category",
+            "outcome",
+            "latency_insts",
+            "trace"
+        ]
+    );
+    assert_eq!(j.get("attack").and_then(Json::as_str), Some("edge-splice"));
+    assert_eq!(j.get("nth_branch").and_then(Json::as_u64), Some(spec.nth));
+    assert_eq!(j.get("param").and_then(Json::as_u64), Some(spec.param));
+    assert_eq!(j.get("site").and_then(Json::as_u64), Some(plain.site));
+    assert_eq!(j.get("target").and_then(Json::as_u64), Some(provenance.target));
+    let attribution = j.get("attribution").expect("attribution key");
+    assert_ne!(attribution, &Json::Null, "a splice lands inside a translated block");
+    assert!(attribution.get("guest_block").and_then(Json::as_u64).is_some());
 }

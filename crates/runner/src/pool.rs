@@ -26,8 +26,8 @@ use std::time::Instant;
 use cfed_asm::Image;
 use cfed_core::{profile_dbt, RunConfig};
 use cfed_fault::{
-    golden_run, AttackForensics, AttackSpec, CampaignReport, FaultSpec, ForensicsBundle, Golden,
-    SnapshotSet, SnapshotStats, WorkloadError, DEFAULT_TRACE_WINDOW,
+    golden_run, CampaignReport, Forensics, Golden, SnapshotSet, SnapshotStats, Trial,
+    WorkloadError, DEFAULT_TRACE_WINDOW,
 };
 use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
 
@@ -542,23 +542,6 @@ struct ShardRun {
     forensics_wanted: u64,
 }
 
-/// Trials of one shard that warranted a forensics capture — fault specs
-/// for classic cells, attack specs for attack cells. Either way the
-/// capture criterion is [`ForensicsBundle::wanted`].
-enum WantedSpecs {
-    Faults(Vec<FaultSpec>),
-    Attacks(Vec<AttackSpec>),
-}
-
-impl WantedSpecs {
-    fn len(&self) -> usize {
-        match self {
-            WantedSpecs::Faults(v) => v.len(),
-            WantedSpecs::Attacks(v) => v.len(),
-        }
-    }
-}
-
 fn run_shard(
     cache: &mut WorkerCache,
     goldens: &GoldenCache,
@@ -583,60 +566,44 @@ fn run_shard(
     };
     let PreparedGolden { golden, snapshots, profile } = prepared;
     let snaps = snapshots.as_deref();
+    // Trials that warranted a forensics capture (see [`Forensics::wanted`]).
+    let mut wanted: Vec<Trial> = Vec::new();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(attack) = cell.attack_campaign() {
-            let mut wanted: Vec<AttackSpec> = Vec::new();
-            let report =
+        let mut want = |trial: Trial, r: &_| {
+            if forensics && Forensics::wanted(r) {
+                wanted.push(trial);
+            }
+        };
+        match cell.attack_campaign() {
+            Some(attack) => {
                 attack.run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                    if forensics && ForensicsBundle::wanted(r) {
-                        wanted.push(spec);
-                    }
-                })?;
-            return Ok::<_, WorkloadError>((report, WantedSpecs::Attacks(wanted)));
+                    want(Trial::Attack(spec), r)
+                })
+            }
+            None => {
+                cell.campaign().run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
+                    want(Trial::Fault(spec), r)
+                })
+            }
         }
-        let mut wanted: Vec<FaultSpec> = Vec::new();
-        let report =
-            cell.campaign().run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                if forensics && ForensicsBundle::wanted(r) {
-                    wanted.push(spec);
-                }
-            })?;
-        Ok::<_, WorkloadError>((report, WantedSpecs::Faults(wanted)))
     }));
     match result {
-        Ok(Ok((report, wanted))) => {
-            let bundles = match &wanted {
-                WantedSpecs::Faults(specs) => specs
-                    .iter()
-                    .take(MAX_FORENSICS_PER_SHARD)
-                    .filter_map(|&spec| {
-                        ForensicsBundle::capture_with(
-                            &image,
-                            &cell.config,
-                            spec,
-                            &golden,
-                            DEFAULT_TRACE_WINDOW,
-                            snaps,
-                        )
-                    })
-                    .map(|b| b.to_json())
-                    .collect(),
-                WantedSpecs::Attacks(specs) => specs
-                    .iter()
-                    .take(MAX_FORENSICS_PER_SHARD)
-                    .filter_map(|&spec| {
-                        AttackForensics::capture_with(
-                            &image,
-                            &cell.config,
-                            spec,
-                            &golden,
-                            DEFAULT_TRACE_WINDOW,
-                            snaps,
-                        )
-                    })
-                    .map(|b| b.to_json())
-                    .collect(),
-            };
+        Ok(Ok(report)) => {
+            let bundles = wanted
+                .iter()
+                .take(MAX_FORENSICS_PER_SHARD)
+                .filter_map(|&trial| {
+                    Forensics::capture(
+                        &image,
+                        &cell.config,
+                        trial,
+                        &golden,
+                        DEFAULT_TRACE_WINDOW,
+                        snaps,
+                    )
+                })
+                .map(|b| b.to_json())
+                .collect();
             ShardRun {
                 outcome: ShardOutcome::Ok(Box::new(ShardTallies::from_report(&report))),
                 golden: Some((*golden).clone()),

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use cfed::core::{run_dbt, run_native, RunConfig, TechniqueKind};
-use cfed::fault::{golden_run, inject, FaultSpec, Outcome};
+use cfed::fault::{golden_run, run_trial, FaultSpec, Outcome, Trial};
 use cfed::lang::compile;
 
 fn main() {
@@ -58,9 +58,9 @@ fn main() {
     let mut detected = 0;
     let mut shown = 0;
     for nth in (0..golden.branches).step_by((golden.branches / 40).max(1) as usize) {
-        let spec = FaultSpec::AddrBit { nth, bit: 4 }; // flip ±128 bytes
+        let trial = Trial::Fault(FaultSpec::AddrBit { nth, bit: 4 }); // flip ±128 bytes
         if let Some(result) =
-            inject(&image, &cfg, spec, &golden).expect("fault-free prefix succeeds")
+            run_trial(&image, &cfg, trial, &golden, None).expect("fault-free prefix succeeds")
         {
             if result.outcome == Outcome::DetectedByCheck {
                 detected += 1;

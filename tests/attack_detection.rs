@@ -35,7 +35,7 @@
 
 use cfed::core::{Category, RunConfig, TechniqueKind};
 use cfed::dbt::{DbtExit, EngineSpec, UpdateStyle};
-use cfed::fault::{attack_with, pause_attack, AttackKind, AttackSpec, Outcome, SnapshotSet};
+use cfed::fault::{pause_attack, run_trial, AttackKind, AttackSpec, Outcome, SnapshotSet, Trial};
 use cfed::lang::compile;
 
 const PROGRAM: &str = r#"
@@ -99,8 +99,8 @@ fn attacks_under_guaranteed_techniques_end_detected_or_benign() {
                 for i in 0..SITES {
                     let nth = i * golden.branches / SITES;
                     for param in [i, i * 31 + 7] {
-                        let spec = AttackSpec { kind: archetype, nth, param };
-                        let Some(r) = attack_with(&image, &cfg, spec, &golden, Some(&snapshots))
+                        let spec = Trial::Attack(AttackSpec { kind: archetype, nth, param });
+                        let Some(r) = run_trial(&image, &cfg, spec, &golden, Some(&snapshots))
                             .expect("prefix replay is attack-free")
                         else {
                             continue; // unplaceable at this strike point
