@@ -21,11 +21,11 @@ fn main() {
 
     use cfed_dbt::UpdateStyle;
     println!("=== CMOVcc update style (safe configurations) ===");
-    let rows = cfed_bench::coverage_with(trials, UpdateStyle::CMov, seed, threads);
-    println!("{}", cfed_bench::render_coverage(&rows));
+    let study = cfed_bench::coverage_with(trials, UpdateStyle::CMov, seed, threads);
+    println!("{}", cfed_bench::render_coverage(&study));
     println!("\n=== Jcc update style (EdgCF/ECF unsafe: inserted selector branches) ===");
-    let rows = cfed_bench::coverage_with(trials, UpdateStyle::Jcc, seed, threads);
-    println!("{}", cfed_bench::render_coverage(&rows));
+    let study = cfed_bench::coverage_with(trials, UpdateStyle::Jcc, seed, threads);
+    println!("{}", cfed_bench::render_coverage(&study));
 }
 
 fn die<T>(message: String) -> T {

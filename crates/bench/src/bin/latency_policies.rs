@@ -19,8 +19,8 @@ fn main() {
     let seed = args.get_u64("seed").unwrap_or_else(die);
     let threads = args.get_usize("threads").unwrap_or_else(die);
 
-    let rows = cfed_bench::latency_by_policy_with(trials, seed, threads);
-    println!("{}", cfed_bench::render_latency(&rows));
+    let study = cfed_bench::latency_by_policy_with(trials, seed, threads);
+    println!("{}", cfed_bench::render_latency(&study));
 }
 
 fn die<T>(message: String) -> T {

@@ -5,18 +5,20 @@
 //!
 //! | paper artifact | function | binary |
 //! |---|---|---|
-//! | Figure 2 (error-model table) | [`fig2`] | `fig2_error_model` |
-//! | Figure 3 (SDC-prone categories) | [`fig2`] (derived) | `fig2_error_model` |
-//! | Figure 12 (per-benchmark slowdown) | [`fig12`] | `fig12_slowdown` |
-//! | Figure 14 (Jcc vs CMOVcc) | [`fig14`] | `fig14_update_style` |
-//! | Figure 15 (checking policies) | [`fig15`] | `fig15_policies` |
-//! | §3/§4 coverage claims | [`coverage`] | `coverage_matrix` |
+//! | Figure 2 (error-model table) | [`fig2_with`] | `fig2_error_model` |
+//! | Figure 3 (SDC-prone categories) | [`fig2_with`] (derived) | `fig2_error_model` |
+//! | Figure 12 (per-benchmark slowdown) | [`fig12_telemetry_with`] | `fig12_slowdown` |
+//! | Figure 14 (Jcc vs CMOVcc) | [`fig14_with`] | `fig14_update_style` |
+//! | Figure 15 (checking policies) | [`fig15_with`] | `fig15_policies` |
+//! | §3/§4 coverage claims | [`coverage_with`] | `coverage_matrix` |
+//! | §6 detection latency (extension) | [`latency_by_policy_with`] | `latency_policies` |
 
-use cfed_core::{geomean, run_dbt, run_engine, run_native, Category, RunConfig, TechniqueKind};
+use cfed_core::{geomean, run_dbt, run_engine, run_native, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, EngineSpec, UpdateStyle};
-use cfed_fault::{analyze_image, CampaignReport, CategoryStats, ErrorModelTable};
-use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
+use cfed_fault::{analyze_image, ErrorModelTable};
+use cfed_runner::matrix::{campaign_workloads, CampaignMatrix};
 use cfed_runner::pool::{parallel_map, run_matrix, RunSummary, RunnerOptions};
+use cfed_runner::report;
 use cfed_telemetry::Telemetry;
 use cfed_workloads::{Scale, Suite, Workload, ALL};
 
@@ -62,11 +64,6 @@ pub fn fig2_with(scale: Scale, threads: usize) -> Fig2 {
     Fig2 { int, fp }
 }
 
-/// [`fig2_with`] on all cores.
-pub fn fig2(scale: Scale) -> Fig2 {
-    fig2_with(scale, 0)
-}
-
 /// Renders the Figure 3 view (probabilities over categories A–E only).
 pub fn render_fig3(fig: &Fig2) -> String {
     use std::fmt::Write as _;
@@ -109,24 +106,16 @@ pub struct SlowdownRow {
     pub dbt_over_native: f64,
 }
 
-/// Figure 12 data: per-benchmark technique slowdowns (Jcc update, ALLBB).
-pub fn fig12(scale: Scale) -> Vec<SlowdownRow> {
-    fig12_telemetry(scale, &Telemetry::off())
-}
-
-/// As [`fig12`], with each DBT run attached to a telemetry handle: every
-/// run end emits a `dbt_stats` event (translation-time histogram, block
-/// and chain counters) to the handle's sink. The disabled handle costs
-/// one untaken branch per emit site, which is what the `< 3%` telemetry
-/// overhead bound on this figure is measured against.
-pub fn fig12_telemetry(scale: Scale, telemetry: &Telemetry) -> Vec<SlowdownRow> {
-    fig12_telemetry_with(scale, telemetry, 0)
-}
-
-/// As [`fig12_telemetry`], one workload per pool task over `threads`
-/// worker threads. Every row is computed from that workload's runs alone
-/// and rows come back in workload order, so the figure is byte-identical
-/// to a serial run (telemetry events may interleave across workloads).
+/// Figure 12 data: per-benchmark technique slowdowns (Jcc update, ALLBB),
+/// one workload per pool task over `threads` worker threads (`0` = all
+/// cores). Each DBT run is attached to `telemetry`: every run end emits a
+/// `dbt_stats` event (translation-time histogram, block and chain
+/// counters) to the handle's sink. The disabled handle costs one untaken
+/// branch per emit site, which is what the `< 3%` telemetry overhead bound
+/// on this figure is measured against. Every row is computed from that
+/// workload's runs alone and rows come back in workload order, so the
+/// figure is byte-identical to a serial run (telemetry events may
+/// interleave across workloads).
 pub fn fig12_telemetry_with(
     scale: Scale,
     telemetry: &Telemetry,
@@ -203,12 +192,8 @@ pub fn render_fig12(rows: &[SlowdownRow]) -> String {
 // Figure 14
 // ----------------------------------------------------------------------
 
-/// Figure 14 data: geomean slowdown for update style × technique.
-pub fn fig14(scale: Scale) -> [[f64; 3]; 2] {
-    fig14_with(scale, 0)
-}
-
-/// As [`fig14`], one workload per pool task over `threads` worker threads.
+/// Figure 14 data: geomean slowdown for update style × technique, one
+/// workload per pool task over `threads` worker threads (`0` = all cores).
 /// Each task computes its workload's six style×technique ratios; the main
 /// thread then accumulates them in workload order before taking geomeans,
 /// so every float operation happens in the same sequence as a serial run
@@ -276,13 +261,9 @@ pub struct PolicyRow {
     pub slowdowns: [f64; 4],
 }
 
-/// Figure 15 data: RCF slowdown under each checking policy.
-pub fn fig15(scale: Scale) -> Vec<PolicyRow> {
-    fig15_with(scale, 0)
-}
-
-/// As [`fig15`], one workload per pool task over `threads` worker threads;
-/// rows come back in workload order, byte-identical to a serial run.
+/// Figure 15 data: RCF slowdown under each checking policy, one workload
+/// per pool task over `threads` worker threads (`0` = all cores); rows
+/// come back in workload order, byte-identical to a serial run.
 pub fn fig15_with(scale: Scale, threads: usize) -> Vec<PolicyRow> {
     parallel_map(ALL.len(), threads, |i| {
         let w = &ALL[i];
@@ -351,40 +332,21 @@ pub fn render_fig15(rows: &[PolicyRow]) -> String {
 // Coverage matrix (fault injection)
 // ----------------------------------------------------------------------
 
-/// Per-technique injection results, per category.
-#[derive(Debug, Clone)]
-pub struct CoverageRow {
-    /// `None` is the uninstrumented baseline.
-    pub technique: Option<TechniqueKind>,
-    /// Outcome tallies for categories A–E plus F and NoError.
-    pub per_category: Vec<(Category, CategoryStats)>,
+/// A finished study matrix: its cells and their merged reports.
+#[derive(Debug)]
+pub struct Study {
+    /// The matrix that ran.
+    pub matrix: CampaignMatrix,
+    /// Its per-cell reports, in matrix cell order.
+    pub summary: RunSummary,
 }
 
-/// Workloads used for injection campaigns (kept small — every injection is
-/// a whole program run).
-pub const COVERAGE_WORKLOADS: [&str; 6] = cfed_runner::matrix::CAMPAIGN_WORKLOADS;
-
-/// The six coverage configurations: uninstrumented baseline plus the five
-/// techniques (the two CFG-dependent prior-work techniques included, via
-/// the hybrid static-CFG path).
-fn coverage_techniques() -> Vec<Option<TechniqueKind>> {
-    vec![
-        None,
-        Some(TechniqueKind::Cfcss),
-        Some(TechniqueKind::Ecca),
-        Some(TechniqueKind::Ecf),
-        Some(TechniqueKind::EdgCf),
-        Some(TechniqueKind::Rcf),
-    ]
-}
-
-/// Runs a matrix through the `cfed-runner` worker pool (ephemeral store)
-/// and hands back the per-cell reports paired with their specs, panicking
-/// with the shard errors if any cell failed — the harnesses run known-good
-/// workloads, so a failure is a bug, not data.
-fn pooled_reports(matrix: &CampaignMatrix, run_id: &str, threads: usize) -> RunSummary {
+/// Runs a matrix through the `cfed-runner` worker pool (ephemeral store),
+/// panicking with the shard errors if any cell failed — the harnesses run
+/// known-good workloads, so a failure is a bug, not data.
+fn run_study(matrix: CampaignMatrix, run_id: &str, threads: usize) -> Study {
     let options = RunnerOptions { threads, ..Default::default() };
-    let summary = run_matrix(matrix, run_id, None, &options).expect("in-memory run cannot fail");
+    let summary = run_matrix(&matrix, run_id, None, &options).expect("in-memory run cannot fail");
     for cell in &summary.cells {
         assert!(
             cell.report.is_some() && cell.complete(),
@@ -393,7 +355,7 @@ fn pooled_reports(matrix: &CampaignMatrix, run_id: &str, threads: usize) -> RunS
             cell.failures
         );
     }
-    summary
+    Study { matrix, summary }
 }
 
 /// Runs fault-injection campaigns for the baseline and each of the five
@@ -405,183 +367,40 @@ pub fn coverage_with(
     style: UpdateStyle,
     seed: u64,
     threads: usize,
-) -> Vec<CoverageRow> {
-    let matrix = CampaignMatrix {
-        workloads: COVERAGE_WORKLOADS
-            .iter()
-            .map(|name| WorkloadSpec::named(name, Scale::Test))
-            .collect(),
-        techniques: coverage_techniques(),
-        styles: vec![style],
-        policies: vec![CheckPolicy::AllBb],
-        trials: trials_per_workload,
-        seed,
-        attacks: vec![None],
-    };
-    let summary = pooled_reports(&matrix, "coverage", threads);
-    let cells = matrix.cells();
-    coverage_techniques()
-        .into_iter()
-        .map(|technique| {
-            let mut totals: Vec<(Category, CategoryStats)> =
-                Category::ALL.iter().map(|&c| (c, CategoryStats::default())).collect();
-            for (cell, result) in cells.iter().zip(&summary.cells) {
-                if cell.config.technique != technique {
-                    continue;
-                }
-                let report = result.report.as_ref().expect("checked by pooled_reports");
-                for (c, slot) in &mut totals {
-                    let s = report.category(*c);
-                    slot.detected_check += s.detected_check;
-                    slot.detected_hw += s.detected_hw;
-                    slot.other_fault += s.other_fault;
-                    slot.benign += s.benign;
-                    slot.sdc += s.sdc;
-                    slot.timeout += s.timeout;
-                }
-            }
-            CoverageRow { technique, per_category: totals }
-        })
-        .collect()
+) -> Study {
+    let matrix =
+        CampaignMatrix::coverage(campaign_workloads(), &[style], trials_per_workload, seed);
+    run_study(matrix, "coverage", threads)
 }
 
-/// [`coverage_with`] at the default seed, using all cores.
-pub fn coverage(trials_per_workload: u64, style: UpdateStyle) -> Vec<CoverageRow> {
-    coverage_with(trials_per_workload, style, DEFAULT_CAMPAIGN_SEED, 0)
-}
-
-/// Renders the coverage matrix.
-pub fn render_coverage(rows: &[CoverageRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Coverage matrix — fault injection into translated code (per config trials/workload/technique)"
-    );
-    for row in rows {
-        let name = row.technique.map_or("baseline".to_string(), |k| k.to_string());
-        let _ = writeln!(out, "\n== {name} ==");
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
-            "Category", "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(72));
-        for (c, s) in &row.per_category {
-            if s.total() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
-                c.to_string(),
-                s.detected_check,
-                s.detected_hw,
-                s.other_fault,
-                s.benign,
-                s.sdc,
-                s.timeout,
-                100.0 * s.coverage()
-            );
-        }
-    }
-    out
+/// Renders the coverage matrix of a [`coverage_with`] study: the baseline,
+/// then the techniques in declaration order (prior work first).
+pub fn render_coverage(study: &Study) -> String {
+    let mut techniques = study.matrix.techniques.clone();
+    techniques.sort();
+    format!(
+        "Coverage matrix — fault injection into translated code (per config trials/workload/technique)\n{}",
+        report::render_coverage(&study.matrix, &study.summary, study.matrix.styles[0], &techniques)
+    )
 }
 
 // ----------------------------------------------------------------------
 // Detection latency (extension: quantifies §6's delay-to-report tradeoff)
 // ----------------------------------------------------------------------
 
-/// Mean detection latency per checking policy.
-#[derive(Debug, Clone)]
-pub struct LatencyRow {
-    /// The checking policy.
-    pub policy: CheckPolicy,
-    /// Mean instructions from injection to the check report.
-    pub mean_latency: f64,
-    /// Fraction of harmful faults detected by checks (vs hardware).
-    pub check_share: f64,
-}
-
 /// Measures mean detection latency of the EdgCF technique under each
 /// checking policy — the quantitative version of §6's qualitative
 /// "the less frequently we check, the more delay it can take to report" —
 /// with the campaigns distributed over `threads` worker threads.
-pub fn latency_by_policy_with(
-    trials_per_workload: u64,
-    seed: u64,
-    threads: usize,
-) -> Vec<LatencyRow> {
-    let matrix = CampaignMatrix {
-        workloads: COVERAGE_WORKLOADS
-            .iter()
-            .map(|name| WorkloadSpec::named(name, Scale::Test))
-            .collect(),
-        techniques: vec![Some(TechniqueKind::EdgCf)],
-        styles: vec![UpdateStyle::CMov],
-        policies: CheckPolicy::ALL.to_vec(),
-        trials: trials_per_workload,
-        seed,
-        attacks: vec![None],
-    };
-    let summary = pooled_reports(&matrix, "latency", threads);
-    let cells = matrix.cells();
-    CheckPolicy::ALL
-        .into_iter()
-        .map(|policy| {
-            let reports: Vec<&CampaignReport> = cells
-                .iter()
-                .zip(&summary.cells)
-                .filter(|(cell, _)| cell.config.policy == policy)
-                .map(|(_, r)| r.report.as_ref().expect("checked by pooled_reports"))
-                .collect();
-            latency_row(policy, &reports)
-        })
-        .collect()
+pub fn latency_by_policy_with(trials_per_workload: u64, seed: u64, threads: usize) -> Study {
+    let matrix = CampaignMatrix::latency(campaign_workloads(), trials_per_workload, seed);
+    run_study(matrix, "latency", threads)
 }
 
-/// Aggregates one policy's per-workload reports into a [`LatencyRow`].
-fn latency_row(policy: CheckPolicy, reports: &[&CampaignReport]) -> LatencyRow {
-    let mut lat_sum = 0.0;
-    let mut lat_n = 0u64;
-    let mut chk = 0u64;
-    let mut hw = 0u64;
-    for report in reports {
-        if let Some(l) = report.mean_detection_latency() {
-            lat_sum += l;
-            lat_n += 1;
-        }
-        let t = report.sdc_prone_total();
-        chk += t.detected_check;
-        hw += t.detected_hw + t.other_fault;
-    }
-    LatencyRow {
-        policy,
-        mean_latency: if lat_n > 0 { lat_sum / lat_n as f64 } else { f64::NAN },
-        check_share: if chk + hw > 0 { chk as f64 / (chk + hw) as f64 } else { 0.0 },
-    }
-}
-
-/// [`latency_by_policy_with`] at the default seed, using all cores.
-pub fn latency_by_policy(trials_per_workload: u64) -> Vec<LatencyRow> {
-    latency_by_policy_with(trials_per_workload, DEFAULT_CAMPAIGN_SEED, 0)
-}
-
-/// Renders the latency table.
-pub fn render_latency(rows: &[LatencyRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "Detection latency by checking policy (EdgCF, CMOVcc)");
-    let _ = writeln!(out, "{:>8} | {:>16} | {:>12}", "policy", "mean latency", "check share");
-    let _ = writeln!(out, "{}", "-".repeat(44));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>11.0} insts | {:>11.1}%",
-            r.policy.to_string(),
-            r.mean_latency,
-            100.0 * r.check_share
-        );
-    }
-    out
+/// Renders the latency table of a [`latency_by_policy_with`] study.
+pub fn render_latency(study: &Study) -> String {
+    format!(
+        "Detection latency by checking policy (EdgCF, CMOVcc)\n{}",
+        report::render_latency(&study.matrix, &study.summary)
+    )
 }

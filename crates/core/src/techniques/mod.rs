@@ -52,8 +52,9 @@ pub(crate) fn simm(v: i64) -> i32 {
     i32::try_from(v).expect("signature arithmetic fits imm32")
 }
 
-/// Selects a control-flow checking technique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Selects a control-flow checking technique. Ordered as declared: prior
+/// work first, then this paper's techniques (the published tables' order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TechniqueKind {
     /// Control-flow checking by software signatures (Oh et al.) —
     /// CFG-dependent, applied via the hybrid static-CFG path.

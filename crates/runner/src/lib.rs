@@ -71,4 +71,4 @@ pub use pool::{
     UnitRun,
 };
 pub use retry::RetryPolicy;
-pub use store::{read_meta, read_profiles, read_store, CampaignStore, ShardTallies, StoreHeader};
+pub use store::{read_meta, read_profiles, read_store, CampaignStore, StoreHeader};

@@ -19,6 +19,11 @@ use cfed_workloads::Scale;
 pub const CAMPAIGN_WORKLOADS: [&str; 6] =
     ["164.gzip", "176.gcc", "181.mcf", "171.swim", "183.equake", "191.fma3d"];
 
+/// The [`CAMPAIGN_WORKLOADS`] at `Scale::Test`: the study's workload set.
+pub fn campaign_workloads() -> Vec<WorkloadSpec> {
+    CAMPAIGN_WORKLOADS.iter().map(|name| WorkloadSpec::named(name, Scale::Test)).collect()
+}
+
 /// A guest program a campaign runs against.
 #[derive(Debug, Clone)]
 pub enum WorkloadSpec {
@@ -157,6 +162,43 @@ impl CellSpec {
     }
 }
 
+/// The labelled fields of a cell key, as [`CellSpec::key`] writes them:
+/// `{workload}|{technique}|{style}|{policy}|{max_insts}|s{seed}|t{trials}`,
+/// plus a trailing `|atk:{archetype}` on attack cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellKey<'a> {
+    /// The workload key ([`WorkloadSpec::key`]).
+    pub workload: &'a str,
+    /// The technique name, or `baseline`.
+    pub technique: &'a str,
+    /// The update style name.
+    pub style: &'a str,
+    /// The checking policy name.
+    pub policy: &'a str,
+    /// The attack archetype of an attack cell.
+    pub attack: Option<AttackKind>,
+}
+
+impl<'a> CellKey<'a> {
+    /// Parses a cell key; `None` when it has another shape or names an
+    /// unknown archetype.
+    pub fn parse(key: &'a str) -> Option<CellKey<'a>> {
+        let parts: Vec<&str> = key.split('|').collect();
+        let attack = match parts.len() {
+            7 => None,
+            8 => Some(AttackKind::from_name(parts[7].strip_prefix("atk:")?)?),
+            _ => return None,
+        };
+        Some(CellKey {
+            workload: parts[0],
+            technique: parts[1],
+            style: parts[2],
+            policy: parts[3],
+            attack,
+        })
+    }
+}
+
 /// One unit of worker-pool work: a shard of a cell.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardTask {
@@ -170,6 +212,13 @@ impl ShardTask {
     /// The shard's identity in the result store.
     pub fn key(&self, cells: &[CellSpec]) -> String {
         format!("{}#{}", cells[self.cell].key(), self.shard_index)
+    }
+
+    /// Splits a shard key back into its cell key and shard index; `None`
+    /// when it has another shape.
+    pub fn split_key(key: &str) -> Option<(&str, u64)> {
+        let (cell_key, shard) = key.rsplit_once('#')?;
+        Some((cell_key, shard.parse().ok()?))
     }
 }
 
@@ -199,10 +248,10 @@ pub struct CampaignMatrix {
 
 impl CampaignMatrix {
     /// A matrix over the paper's six coverage configurations (baseline +
-    /// five techniques) for one update style, ALLBB policy.
+    /// five techniques) for each of `styles`, ALLBB policy.
     pub fn coverage(
         workloads: Vec<WorkloadSpec>,
-        style: UpdateStyle,
+        styles: &[UpdateStyle],
         trials: u64,
         seed: u64,
     ) -> CampaignMatrix {
@@ -211,7 +260,7 @@ impl CampaignMatrix {
         CampaignMatrix {
             workloads,
             techniques,
-            styles: vec![style],
+            styles: styles.to_vec(),
             policies: vec![CheckPolicy::AllBb],
             trials,
             seed,
@@ -219,21 +268,27 @@ impl CampaignMatrix {
         }
     }
 
-    /// The adversarial matrix: every attack archetype against the paper's
-    /// six coverage configurations (baseline + five techniques), CMOVcc
-    /// style, ALLBB policy — the detection-frontier experiment behind
-    /// `cfed-campaign report --attacks`.
-    pub fn attacks(workloads: Vec<WorkloadSpec>, trials: u64, seed: u64) -> CampaignMatrix {
-        let mut techniques: Vec<Option<TechniqueKind>> = vec![None];
-        techniques.extend(TechniqueKind::ALL_FIVE.into_iter().map(Some));
+    /// The detection-latency matrix: EdgCF/CMOVcc under every checking
+    /// policy.
+    pub fn latency(workloads: Vec<WorkloadSpec>, trials: u64, seed: u64) -> CampaignMatrix {
         CampaignMatrix {
             workloads,
-            techniques,
+            techniques: vec![Some(TechniqueKind::EdgCf)],
             styles: vec![UpdateStyle::CMov],
-            policies: vec![CheckPolicy::AllBb],
+            policies: CheckPolicy::ALL.to_vec(),
             trials,
             seed,
+            attacks: vec![None],
+        }
+    }
+
+    /// The adversarial matrix: every attack archetype against the coverage
+    /// configurations, CMOVcc style — the detection-frontier experiment
+    /// behind `cfed-campaign report --attacks`.
+    pub fn attacks(workloads: Vec<WorkloadSpec>, trials: u64, seed: u64) -> CampaignMatrix {
+        CampaignMatrix {
             attacks: AttackKind::ALL.into_iter().map(Some).collect(),
+            ..CampaignMatrix::coverage(workloads, &[UpdateStyle::CMov], trials, seed)
         }
     }
 
@@ -301,7 +356,7 @@ mod tests {
                 WorkloadSpec::named("164.gzip", Scale::Test),
                 WorkloadSpec::named("181.mcf", Scale::Test),
             ],
-            UpdateStyle::CMov,
+            &[UpdateStyle::CMov],
             100,
             7,
         );
@@ -315,7 +370,7 @@ mod tests {
     #[test]
     fn attack_matrix_suffixes_keys_and_keeps_fault_keys_stable() {
         let workloads = vec![WorkloadSpec::named("164.gzip", Scale::Test)];
-        let faults = CampaignMatrix::coverage(workloads.clone(), UpdateStyle::CMov, 100, 7);
+        let faults = CampaignMatrix::coverage(workloads.clone(), &[UpdateStyle::CMov], 100, 7);
         for cell in faults.cells() {
             assert!(!cell.key().contains("|atk:"), "fault cell key grew a suffix");
             assert!(cell.attack_campaign().is_none());
@@ -347,7 +402,7 @@ mod tests {
     fn shards_cover_every_cell() {
         let m = CampaignMatrix::coverage(
             vec![WorkloadSpec::named("164.gzip", Scale::Test)],
-            UpdateStyle::Jcc,
+            &[UpdateStyle::Jcc],
             150,
             0,
         );

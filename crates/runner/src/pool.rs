@@ -15,7 +15,7 @@
 //! see [`crate::matrix`] — so the merged per-cell reports are bit-identical
 //! to the serial [`cfed_fault::Campaign::run`] path for any thread count.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io::IsTerminal as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cfed_asm::Image;
-use cfed_core::{profile_dbt, RunConfig};
+use cfed_core::{profile_dbt, Category, RunConfig};
 use cfed_fault::{
     golden_run, CampaignReport, Forensics, Golden, SnapshotSet, SnapshotStats, Trial,
     WorkloadError, DEFAULT_TRACE_WINDOW,
@@ -34,7 +34,7 @@ use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
 use crate::json::Json;
 use crate::matrix::{CampaignMatrix, CellSpec, ShardTask};
 use crate::retry::RetryPolicy;
-use crate::store::{CampaignStore, ShardTallies, StoreHeader};
+use crate::store::{CampaignStore, StoreHeader};
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
@@ -232,8 +232,8 @@ pub struct CellResult {
     pub cell: usize,
     /// The cell's identity key.
     pub key: String,
-    /// Merged report over the cell's completed shards, `None` if the cell's
-    /// golden run failed (e.g. the workload traps under this configuration).
+    /// Merged report over the cell's completed shards, `None` if none
+    /// completed (e.g. the workload traps under this configuration).
     pub report: Option<CampaignReport>,
     /// Completed shards.
     pub done_shards: u64,
@@ -294,7 +294,7 @@ impl RunSummary {
 }
 
 enum ShardOutcome {
-    Ok(Box<ShardTallies>),
+    Ok(Box<CampaignReport>),
     Failed(String),
 }
 
@@ -304,9 +304,6 @@ struct ShardDone {
     outcome: ShardOutcome,
     /// Errors of failed attempts that preceded `outcome` (bounded retry).
     attempt_errors: Vec<String>,
-    /// The cell's golden run, sent with the first shard a worker completes
-    /// for a cell so the main thread can build reports without recomputing.
-    golden: Option<Golden>,
     /// The cell's execution profile (when profiling is enabled); the main
     /// thread persists it once per cell.
     profile: Option<Arc<Profile>>,
@@ -401,10 +398,7 @@ impl GoldenCache {
 /// Result of executing one work unit (one shard of one cell).
 pub struct UnitRun {
     /// The shard's persisted tallies, or the failure message.
-    pub tallies: Result<Box<ShardTallies>, String>,
-    /// The cell's golden run, when it was computable (present even for
-    /// shard-level failures so callers can still assemble partial reports).
-    pub golden: Option<Golden>,
+    pub tallies: Result<Box<CampaignReport>, String>,
     /// The cell's execution profile, when the shared cache collects them
     /// (every unit of a cell carries the same `Arc`'d profile; the store
     /// writer persists it once per cell).
@@ -444,7 +438,6 @@ impl UnitExecutor {
         };
         UnitRun {
             tallies,
-            golden: run.golden,
             profile: run.profile,
             forensics: run.forensics,
             forensics_wanted: run.forensics_wanted,
@@ -536,7 +529,6 @@ const FLIGHT_WINDOW: usize = 64;
 
 struct ShardRun {
     outcome: ShardOutcome,
-    golden: Option<Golden>,
     profile: Option<Arc<Profile>>,
     forensics: Vec<Json>,
     forensics_wanted: u64,
@@ -549,20 +541,19 @@ fn run_shard(
     shard_index: u64,
     forensics: bool,
 ) -> ShardRun {
-    let failed = |message: String, golden: Option<Golden>| ShardRun {
+    let failed = |message: String| ShardRun {
         outcome: ShardOutcome::Failed(message),
-        golden,
         profile: None,
         forensics: Vec::new(),
         forensics_wanted: 0,
     };
     let image = match cache.image(cell) {
         Ok(img) => img,
-        Err(e) => return failed(e, None),
+        Err(e) => return failed(e),
     };
     let prepared = match goldens.get(cell, &image) {
         Ok(p) => p,
-        Err(e) => return failed(e, None),
+        Err(e) => return failed(e),
     };
     let PreparedGolden { golden, snapshots, profile } = prepared;
     let snaps = snapshots.as_deref();
@@ -605,15 +596,14 @@ fn run_shard(
                 .map(|b| b.to_json())
                 .collect();
             ShardRun {
-                outcome: ShardOutcome::Ok(Box::new(ShardTallies::from_report(&report))),
-                golden: Some((*golden).clone()),
+                outcome: ShardOutcome::Ok(Box::new(report)),
                 profile,
                 forensics: bundles,
                 forensics_wanted: wanted.len() as u64,
             }
         }
-        Ok(Err(e)) => failed(format!("shard failed: {e}"), Some((*golden).clone())),
-        Err(e) => failed(format!("shard panicked: {}", panic_message(&e)), Some((*golden).clone())),
+        Ok(Err(e)) => failed(format!("shard failed: {e}")),
+        Err(e) => failed(format!("shard panicked: {}", panic_message(&e))),
     }
 }
 
@@ -655,9 +645,6 @@ pub fn run_matrix(
     let executed_trials: u64 =
         pending.iter().map(|t| cells[t.cell].campaign().shard_trials(t.shard_index)).sum();
 
-    // Cell goldens observed during this run (from workers) — saves the
-    // main thread recomputing them for report assembly.
-    let mut goldens: BTreeMap<usize, Golden> = BTreeMap::new();
     let golden_cache = Arc::new(GoldenCache::new(options.snapshots, options.profile));
     let mut retried_attempts = 0u64;
 
@@ -702,7 +689,6 @@ pub fn run_matrix(
                             key: task.key(cells_ref),
                             outcome,
                             attempt_errors,
-                            golden: run.golden,
                             profile: run.profile,
                             forensics: run.forensics,
                             forensics_wanted: run.forensics_wanted,
@@ -726,14 +712,10 @@ pub fn run_matrix(
                     key,
                     outcome,
                     attempt_errors,
-                    golden,
                     profile,
                     forensics,
                     forensics_wanted,
                 } = done;
-                if let (Some(g), false) = (golden, goldens.contains_key(&task.cell)) {
-                    goldens.insert(task.cell, g);
-                }
                 if let Some(p) = profile {
                     // Idempotent: only the first shard of a cell (and only
                     // on a run that doesn't already hold the record) writes.
@@ -776,26 +758,18 @@ pub fn run_matrix(
                             // Attack cells additionally report per-outcome
                             // counters: the raw material of the detection
                             // frontier, queryable live from the event plane.
-                            let mut sums = [0u64; 6];
-                            for s in &tallies.stats {
-                                sums[0] += s.detected_check;
-                                sums[1] += s.detected_hw;
-                                sums[2] += s.other_fault;
-                                sums[3] += s.benign;
-                                sums[4] += s.sdc;
-                                sums[5] += s.timeout;
-                            }
+                            let sums = tallies.total_over(&Category::ALL);
                             let skipped = tallies.skipped;
                             telemetry.emit_with(|| {
                                 Event::new("attack_outcomes")
                                     .str("shard", &key)
                                     .str("attack", kind.name())
-                                    .u64("detected_check", sums[0])
-                                    .u64("detected_hw", sums[1])
-                                    .u64("other_fault", sums[2])
-                                    .u64("benign", sums[3])
-                                    .u64("sdc", sums[4])
-                                    .u64("timeout", sums[5])
+                                    .u64("detected_check", sums.detected_check)
+                                    .u64("detected_hw", sums.detected_hw)
+                                    .u64("other_fault", sums.other_fault)
+                                    .u64("benign", sums.benign)
+                                    .u64("sdc", sums.sdc)
+                                    .u64("timeout", sums.timeout)
                                     .u64("unplaced", skipped)
                             });
                         }
@@ -904,7 +878,7 @@ pub fn run_matrix(
 
     let mut cell_results = Vec::with_capacity(cells.len());
     for (index, cell) in cells.iter().enumerate() {
-        cell_results.push(assemble_cell(index, cell, &store, goldens.get(&index)));
+        cell_results.push(assemble_cell(index, cell, &store));
     }
     Ok(RunSummary {
         cells: cell_results,
@@ -917,72 +891,24 @@ pub fn run_matrix(
 
 /// Merges a cell's persisted shard tallies into one report, in shard-index
 /// order (any order gives identical tallies; fixed order keeps it obvious).
-fn assemble_cell(
-    index: usize,
-    cell: &CellSpec,
-    store: &CampaignStore,
-    observed_golden: Option<&Golden>,
-) -> CellResult {
+fn assemble_cell(index: usize, cell: &CellSpec, store: &CampaignStore) -> CellResult {
     let total_shards = cell.num_shards();
     let cell_key = cell.key();
-    let mut failures: Vec<String> = store
+    let failures: Vec<String> = store
         .failed
         .iter()
-        .filter(|(k, _)| k.rsplit_once('#').map(|(c, _)| c) == Some(cell_key.as_str()))
+        .filter(|(k, _)| ShardTask::split_key(k).map(|(c, _)| c) == Some(cell_key.as_str()))
         .map(|(k, e)| format!("{k}: {e}"))
         .collect();
-
-    let mut done: Vec<(u64, ShardTallies)> = Vec::new();
+    let mut report: Option<CampaignReport> = None;
+    let mut done_shards = 0;
     for shard_index in 0..total_shards {
-        let key = format!("{cell_key}#{shard_index}");
-        if let Some(t) = store.done.get(&key) {
-            done.push((shard_index, t.clone()));
+        if let Some(tallies) = store.done.get(&format!("{cell_key}#{shard_index}")) {
+            report.get_or_insert_with(CampaignReport::default).merge(tallies);
+            done_shards += 1;
         }
     }
-    if done.is_empty() {
-        return CellResult {
-            cell: index,
-            key: cell_key,
-            report: None,
-            done_shards: 0,
-            total_shards,
-            failures,
-        };
-    }
-
-    // A fully-resumed cell has tallies but no golden from this run's
-    // workers; recompute it here (cheap relative to a campaign — report
-    // assembly needs only the golden, not snapshots).
-    let golden = match observed_golden.cloned() {
-        Some(g) => Some(g),
-        None => match cell
-            .workload
-            .image()
-            .and_then(|img| prepare_golden(&img, &cell.config, false, false))
-            .map(|p| (*p.golden).clone())
-        {
-            Ok(g) => Some(g),
-            Err(e) => {
-                failures.push(format!("{cell_key}: {e}"));
-                None
-            }
-        },
-    };
-    let report = golden.map(|g| {
-        let mut report = CampaignReport::new(g.clone());
-        for (_, tallies) in &done {
-            report.merge(&tallies.to_report(g.clone()));
-        }
-        report
-    });
-    CellResult {
-        cell: index,
-        key: cell_key,
-        report,
-        done_shards: done.len() as u64,
-        total_shards,
-        failures,
-    }
+    CellResult { cell: index, key: cell_key, report, done_shards, total_shards, failures }
 }
 
 #[cfg(test)]
@@ -1067,7 +993,6 @@ mod tests {
                 }
                 assert_eq!(serial.skipped, parallel.skipped);
                 assert_eq!(serial.latency_totals(), parallel.latency_totals());
-                assert_eq!(serial.golden, parallel.golden);
             }
         }
     }

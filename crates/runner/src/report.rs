@@ -1,4 +1,5 @@
-//! `cfed-campaign report` — renders a persisted campaign store.
+//! `cfed-campaign report` — renders a persisted campaign store — and the
+//! coverage/latency study tables `cfed-campaign` and `cfed-bench` print.
 //!
 //! Reads a v2 JSONL store, merges each cell's shard tallies with the same
 //! associative algebra the pool uses, and renders the per-category outcome
@@ -13,10 +14,13 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use cfed_core::{Category, TechniqueKind};
-use cfed_fault::{AttackKind, Outcome};
+use cfed_dbt::{CheckPolicy, UpdateStyle};
+use cfed_fault::{AttackKind, CampaignReport, CategoryStats, Outcome};
 use cfed_telemetry::{bucket_high, Histogram};
 
-use crate::store::{read_store, ShardTallies, StoreHeader};
+use crate::matrix::{CampaignMatrix, CellKey, ShardTask};
+use crate::pool::RunSummary;
+use crate::store::{read_store, StoreHeader};
 
 /// Width of the widest histogram bar, in characters.
 const BAR_WIDTH: u64 = 40;
@@ -29,35 +33,23 @@ pub struct CellSummary {
     /// Shards merged into `tallies`.
     pub shards_done: u64,
     /// Merged tallies.
-    pub tallies: ShardTallies,
-}
-
-impl CellSummary {
-    /// The merged detection-latency histogram (`DetectedByCheck` across
-    /// all categories).
-    pub fn detection_latency(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for row in self.tallies.lat.iter() {
-            h.merge(&row[Outcome::DetectedByCheck.idx()]);
-        }
-        h
-    }
+    pub tallies: CampaignReport,
 }
 
 /// Groups a store's shard records by cell key (the part before the final
 /// `#`) and merges each group. `BTreeMap` input and output keep the order
 /// deterministic.
-pub fn summarize(done: &BTreeMap<String, ShardTallies>) -> Vec<CellSummary> {
+pub fn summarize(done: &BTreeMap<String, CampaignReport>) -> Vec<CellSummary> {
     let mut cells: BTreeMap<String, CellSummary> = BTreeMap::new();
     for (shard_key, tallies) in done {
-        let cell_key = shard_key.rsplit_once('#').map_or(shard_key.as_str(), |(c, _)| c);
+        let cell_key = ShardTask::split_key(shard_key).map_or(shard_key.as_str(), |(c, _)| c);
         let entry = cells.entry(cell_key.to_string()).or_insert_with(|| CellSummary {
             key: cell_key.to_string(),
             shards_done: 0,
-            tallies: ShardTallies::default(),
+            tallies: CampaignReport::default(),
         });
         entry.shards_done += 1;
-        entry.tallies.absorb(tallies);
+        entry.tallies.merge(tallies);
     }
     cells.into_values().collect()
 }
@@ -111,31 +103,9 @@ fn render_cell(out: &mut String, cell: &CellSummary) {
         let _ = writeln!(out, "skipped injections: {}", cell.tallies.skipped);
     }
 
-    let _ = writeln!(
-        out,
-        "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
-        "category", "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
-    );
-    let _ = writeln!(out, "{}", "-".repeat(72));
-    for (c, s) in Category::ALL.iter().zip(&cell.tallies.stats) {
-        if s.total() == 0 {
-            continue;
-        }
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
-            c.to_string(),
-            s.detected_check,
-            s.detected_hw,
-            s.other_fault,
-            s.benign,
-            s.sdc,
-            s.timeout,
-            100.0 * s.coverage()
-        );
-    }
+    write_outcome_table(out, "category", &cell.tallies);
 
-    let all = cell.detection_latency();
+    let all = cell.tallies.detection_latency_hist();
     if all.is_empty() {
         let _ = writeln!(out, "no check-detected faults");
         return;
@@ -178,16 +148,6 @@ fn render_cell(out: &mut String, cell: &CellSummary) {
     }
 }
 
-/// Splits an attack cell's key into its archetype and technique column.
-/// Fault cells (no `|atk:` suffix) return `None` and are left to the
-/// regular report.
-fn attack_cell(key: &str) -> Option<(AttackKind, String)> {
-    let (rest, name) = key.rsplit_once("|atk:")?;
-    let kind = AttackKind::from_name(name)?;
-    let technique = rest.split('|').nth(1)?.to_string();
-    Some((kind, technique))
-}
-
 /// Renders the attack detection frontier for the store at `path`: one row
 /// per attack archetype, one column per technique, aggregated over every
 /// workload in the store. The rendering derives exclusively from shard
@@ -214,21 +174,17 @@ pub fn render_attack_parts(
     cells: &[CellSummary],
     failed: &BTreeMap<String, String>,
 ) -> Result<String, String> {
-    // (archetype, technique) -> (detected check, detected hw, sdc, total, unplaced)
-    type Tally = (u64, u64, u64, u64, u64);
+    // (archetype, technique) -> (outcome tallies over every category, unplaced)
+    type Tally = (CategoryStats, u64);
     let mut grid: BTreeMap<(usize, String), Tally> = BTreeMap::new();
     let mut workloads: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
     for cell in cells {
-        let Some((kind, technique)) = attack_cell(&cell.key) else { continue };
-        workloads.insert(cell.key.split('|').next().unwrap_or("").to_string());
-        let slot = grid.entry((kind.idx(), technique)).or_default();
-        for s in &cell.tallies.stats {
-            slot.0 += s.detected_check;
-            slot.1 += s.detected_hw;
-            slot.2 += s.sdc;
-            slot.3 += s.total();
-        }
-        slot.4 += cell.tallies.skipped;
+        let Some(key) = CellKey::parse(&cell.key) else { continue };
+        let Some(kind) = key.attack else { continue };
+        workloads.insert(key.workload.to_string());
+        let slot = grid.entry((kind.idx(), key.technique.to_string())).or_default();
+        slot.0 += cell.tallies.total_over(&Category::ALL);
+        slot.1 += cell.tallies.skipped;
     }
     if grid.is_empty() {
         return Err("store holds no attack cells (run `cfed-campaign attack` first)".to_string());
@@ -271,9 +227,9 @@ pub fn render_attack_parts(
         let _ = write!(out, "{:>14}", kind.name());
         for t in &columns {
             match grid.get(&(kind.idx(), (*t).clone())) {
-                Some(&(chk, hw, sdc, total, _)) if total > 0 => {
-                    let pct = 100.0 * (chk + hw) as f64 / total as f64;
-                    let _ = write!(out, " | {:>8.1}% ({sdc:>3})", pct);
+                Some((s, _)) if s.total() > 0 => {
+                    let pct = 100.0 * (s.detected_check + s.detected_hw) as f64 / s.total() as f64;
+                    let _ = write!(out, " | {:>8.1}% ({:>3})", pct, s.sdc);
                 }
                 _ => {
                     let _ = write!(out, " | {:>14}", "-");
@@ -299,8 +255,9 @@ pub fn render_attack_parts(
         let _ = write!(out, "{:>14}", kind.name());
         for t in &columns {
             match grid.get(&(kind.idx(), (*t).clone())) {
-                Some(&(chk, _, _, total, _)) if total > 0 => {
-                    let _ = write!(out, " | {:>13.1}%", 100.0 * chk as f64 / total as f64);
+                Some((s, _)) if s.total() > 0 => {
+                    let pct = 100.0 * s.detected_check as f64 / s.total() as f64;
+                    let _ = write!(out, " | {:>13.1}%", pct);
                 }
                 _ => {
                     let _ = write!(out, " | {:>14}", "-");
@@ -310,11 +267,144 @@ pub fn render_attack_parts(
         let _ = writeln!(out);
     }
 
-    let unplaced: u64 = grid.values().map(|v| v.4).sum();
+    let unplaced: u64 = grid.values().map(|v| v.1).sum();
     if unplaced > 0 {
         let _ = writeln!(out, "\nunplaceable attack trials (no viable target): {unplaced}");
     }
     Ok(out)
+}
+
+/// Writes the per-category outcome table of `report`: a header whose first
+/// cell reads `label`, then one row per category with injections.
+pub fn write_outcome_table(out: &mut String, label: &str, report: &CampaignReport) {
+    let _ = writeln!(
+        out,
+        "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
+        label, "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
+    );
+    let _ = writeln!(out, "{}", "-".repeat(72));
+    for (c, s) in Category::ALL.iter().zip(&report.stats) {
+        if s.total() == 0 {
+            continue;
+        }
+        let _ = writeln!(
+            out,
+            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
+            c.to_string(),
+            s.detected_check,
+            s.detected_hw,
+            s.other_fault,
+            s.benign,
+            s.sdc,
+            s.timeout,
+            100.0 * s.coverage()
+        );
+    }
+}
+
+/// One coverage configuration's tallies summed over its workload cells in
+/// `summary` (a run of `matrix`), and the number of those cells that have
+/// no report.
+pub fn coverage_total(
+    matrix: &CampaignMatrix,
+    summary: &RunSummary,
+    technique: Option<TechniqueKind>,
+    style: UpdateStyle,
+) -> (CampaignReport, u64) {
+    let mut total = CampaignReport::default();
+    let mut missing = 0u64;
+    for (cell, result) in matrix.cells().iter().zip(&summary.cells) {
+        if cell.config.technique != technique || cell.config.style != style {
+            continue;
+        }
+        match &result.report {
+            Some(report) => total.merge(report),
+            None => missing += 1,
+        }
+    }
+    (total, missing)
+}
+
+/// The coverage study table for one update style: per technique, in the
+/// order given, a `== name ==` block with the summed outcome table (see
+/// [`coverage_total`]), noting missing workload cells.
+pub fn render_coverage(
+    matrix: &CampaignMatrix,
+    summary: &RunSummary,
+    style: UpdateStyle,
+    techniques: &[Option<TechniqueKind>],
+) -> String {
+    let mut out = String::new();
+    for &technique in techniques {
+        let (total, missing) = coverage_total(matrix, summary, technique, style);
+        let name = technique.map_or("baseline".to_string(), |k| k.to_string());
+        let _ = writeln!(out, "\n== {name} ==");
+        if missing > 0 {
+            let _ = writeln!(out, "   ({missing} workload cells missing — run incomplete)");
+        }
+        write_outcome_table(&mut out, "Category", &total);
+    }
+    out
+}
+
+/// One row of the detection-latency study.
+#[derive(Debug, Clone, Copy)]
+pub struct LatencyRow {
+    /// Mean over workload cells of each cell's mean instructions from
+    /// injection to the check report (`NaN` when no cell detected any).
+    pub mean_latency: f64,
+    /// Share of detected SDC-prone faults caught by a signature check
+    /// rather than by hardware or another fault.
+    pub check_share: f64,
+}
+
+/// The latency row of `policy` over its workload cells in `summary` (a
+/// run of `matrix`); cells without a report are skipped.
+pub fn latency_row(
+    matrix: &CampaignMatrix,
+    summary: &RunSummary,
+    policy: CheckPolicy,
+) -> LatencyRow {
+    let mut lat_sum = 0.0;
+    let mut lat_n = 0u64;
+    let mut chk = 0u64;
+    let mut hw = 0u64;
+    for (cell, result) in matrix.cells().iter().zip(&summary.cells) {
+        if cell.config.policy != policy {
+            continue;
+        }
+        let Some(report) = result.report.as_ref() else { continue };
+        if let Some(l) = report.mean_detection_latency() {
+            lat_sum += l;
+            lat_n += 1;
+        }
+        let t = report.sdc_prone_total();
+        chk += t.detected_check;
+        hw += t.detected_hw + t.other_fault;
+    }
+    LatencyRow {
+        mean_latency: if lat_n > 0 { lat_sum / lat_n as f64 } else { f64::NAN },
+        check_share: if chk + hw > 0 { chk as f64 / (chk + hw) as f64 } else { 0.0 },
+    }
+}
+
+/// The detection-latency study table: one [`latency_row`] per checking
+/// policy.
+pub fn render_latency(matrix: &CampaignMatrix, summary: &RunSummary) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{:>8} | {:>16} | {:>12}", "policy", "mean latency", "check share");
+    let _ = writeln!(out, "{}", "-".repeat(44));
+    for policy in CheckPolicy::ALL {
+        let row = latency_row(matrix, summary, policy);
+        let _ = writeln!(
+            out,
+            "{:>8} | {:>11.0} insts | {:>11.1}%",
+            policy.to_string(),
+            row.mean_latency,
+            100.0 * row.check_share
+        );
+    }
+    out
 }
 
 /// One bar per non-empty bucket, scaled to the fullest bucket.
@@ -337,18 +427,13 @@ fn render_bars(out: &mut String, h: &Histogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfed_fault::{CampaignReport, Golden};
 
-    fn golden() -> Golden {
-        Golden { output: vec![7], exit_code: 0, insts: 100, branches: 9 }
-    }
-
-    fn shard(latencies: &[(Category, Outcome, u64)]) -> ShardTallies {
-        let mut report = CampaignReport::new(golden());
+    fn shard(latencies: &[(Category, Outcome, u64)]) -> CampaignReport {
+        let mut report = CampaignReport::default();
         for &(c, o, l) in latencies {
             report.record(c, o, l);
         }
-        ShardTallies::from_report(&report)
+        report
     }
 
     #[test]
@@ -361,7 +446,7 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].key, "cellA");
         assert_eq!(cells[0].shards_done, 2);
-        let lat = cells[0].detection_latency();
+        let lat = cells[0].tallies.detection_latency_hist();
         assert_eq!(lat.count(), 2);
         assert_eq!(lat.sum(), 30);
         assert_eq!(cells[1].key, "cellB");
@@ -400,7 +485,7 @@ mod tests {
         assert!(text.contains("100.0%"), "{text}");
         assert!(text.contains("50.0%"), "{text}");
 
-        let faults_only: BTreeMap<String, ShardTallies> = done
+        let faults_only: BTreeMap<String, CampaignReport> = done
             .iter()
             .filter(|(k, _)| !k.contains("|atk:"))
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -436,5 +521,65 @@ mod tests {
         let text = render_parts(&header, &summarize(&forward), &empty);
         assert!(text.contains("== c =="), "{text}");
         assert!(text.contains("p50<="), "{text}");
+    }
+
+    /// A run of `matrix` in which every cell detected one category-A fault
+    /// with latency 10, except cell `missing`, which has no report.
+    fn summary_missing(matrix: &CampaignMatrix, missing: usize) -> RunSummary {
+        use crate::pool::{CellResult, RunPerf};
+        let cells = matrix
+            .cells()
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| CellResult {
+                cell: i,
+                key: cell.key(),
+                report: (i != missing)
+                    .then(|| shard(&[(Category::A, Outcome::DetectedByCheck, 10)])),
+                done_shards: u64::from(i != missing),
+                total_shards: 1,
+                failures: Vec::new(),
+            })
+            .collect();
+        let perf = RunPerf {
+            wall_ms: 0,
+            executed_trials: 0,
+            trials_per_sec: 0.0,
+            snapshots_enabled: false,
+            snapshots: Default::default(),
+        };
+        RunSummary { cells, executed_shards: 0, resumed_shards: 0, retried_attempts: 0, perf }
+    }
+
+    #[test]
+    fn coverage_counts_missing_cells_of_an_incomplete_run() {
+        use crate::matrix::WorkloadSpec;
+        use cfed_workloads::Scale;
+        let workloads = ["164.gzip", "181.mcf"].map(|n| WorkloadSpec::named(n, Scale::Test));
+        let matrix = CampaignMatrix::coverage(workloads.to_vec(), &[UpdateStyle::CMov], 64, 1);
+        // Cell 0 is the baseline on the first workload.
+        let summary = summary_missing(&matrix, 0);
+        let (baseline, missing) = coverage_total(&matrix, &summary, None, UpdateStyle::CMov);
+        assert_eq!((baseline.category(Category::A).detected_check, missing), (1, 1));
+        let rcf = Some(TechniqueKind::Rcf);
+        let (total, missing) = coverage_total(&matrix, &summary, rcf, UpdateStyle::CMov);
+        assert_eq!((total.category(Category::A).detected_check, missing), (2, 0));
+
+        let text = render_coverage(&matrix, &summary, UpdateStyle::CMov, &[None, rcf]);
+        let note = "   (1 workload cells missing — run incomplete)\n";
+        assert!(text.starts_with(&format!("\n== baseline ==\n{note} Category |")), "{text}");
+        assert_eq!(text.matches(note).count(), 1, "{text}");
+    }
+
+    #[test]
+    fn latency_rows_skip_missing_cells() {
+        let workloads = vec![crate::matrix::WorkloadSpec::inline("w", "fn main() { out(1); }")];
+        let matrix = CampaignMatrix::latency(workloads, 64, 1);
+        let summary = summary_missing(&matrix, 0);
+        let missing = latency_row(&matrix, &summary, CheckPolicy::ALL[0]);
+        assert!(missing.mean_latency.is_nan());
+        assert_eq!(missing.check_share, 0.0);
+        let present = latency_row(&matrix, &summary, CheckPolicy::ALL[1]);
+        assert_eq!((present.mean_latency, present.check_share), (10.0, 1.0));
     }
 }

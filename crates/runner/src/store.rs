@@ -38,8 +38,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use cfed_core::Category;
-use cfed_fault::{CampaignReport, CategoryStats, Golden, LatencyGrid};
+use cfed_fault::{CampaignReport, CategoryStats};
 use cfed_telemetry::{Histogram, Profile};
 
 use crate::json::{obj, parse, Json};
@@ -103,129 +102,83 @@ impl StoreHeader {
     }
 }
 
-/// Raw tallies of one shard, as persisted (a [`CampaignReport`] minus the
-/// golden reference, which is recomputed on resume rather than stored).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardTallies {
-    /// Per-category outcome tallies in [`Category::ALL`] order.
-    pub stats: [CategoryStats; 7],
-    /// Injections that could not be placed.
-    pub skipped: u64,
-    /// Latency histograms per category × outcome.
-    pub lat: LatencyGrid,
+/// The store's former shard-tally type, now [`CampaignReport`] itself.
+/// Kept only because `perfbench/` names it; retire it with the next change
+/// to the benchmark.
+pub type ShardTallies = CampaignReport;
+
+/// Serializes one shard's tallies as the store's shard record (public: the
+/// `cfed-serve` result frames carry exactly this shape, so a coordinator
+/// appends worker results without re-encoding).
+pub fn shard_to_json(shard_key: &str, tallies: &CampaignReport) -> Json {
+    let cats = tallies
+        .stats
+        .iter()
+        .map(|s| {
+            Json::Arr(vec![
+                Json::UInt(s.detected_check),
+                Json::UInt(s.detected_hw),
+                Json::UInt(s.other_fault),
+                Json::UInt(s.benign),
+                Json::UInt(s.sdc),
+                Json::UInt(s.timeout),
+            ])
+        })
+        .collect();
+    let lat = tallies
+        .lat
+        .iter()
+        .map(|row| Json::Arr(row.iter().map(Histogram::to_json).collect()))
+        .collect();
+    obj(vec![
+        ("shard", Json::Str(shard_key.to_string())),
+        ("cats", Json::Arr(cats)),
+        ("skipped", Json::UInt(tallies.skipped)),
+        ("lat", Json::Arr(lat)),
+    ])
 }
 
-impl ShardTallies {
-    /// Extracts the persisted tallies from a shard report.
-    pub fn from_report(report: &CampaignReport) -> ShardTallies {
-        let mut stats = [CategoryStats::default(); 7];
-        for (slot, c) in stats.iter_mut().zip(Category::ALL) {
-            *slot = *report.category(c);
-        }
-        ShardTallies { stats, skipped: report.skipped, lat: report.latency_grid().clone() }
+/// Parses a shard record produced by [`shard_to_json`].
+///
+/// # Errors
+///
+/// Returns a message describing the malformed field.
+pub fn shard_from_json(v: &Json) -> Result<CampaignReport, String> {
+    let cats = v.get("cats").and_then(Json::as_arr).ok_or("record missing cats")?;
+    if cats.len() != 7 {
+        return Err(format!("expected 7 categories, got {}", cats.len()));
     }
-
-    /// Rebuilds a mergeable report around a (recomputed) golden reference.
-    pub fn to_report(&self, golden: Golden) -> CampaignReport {
-        CampaignReport::from_parts(golden, self.stats, self.skipped, self.lat.clone())
+    let mut tallies = CampaignReport::default();
+    for (slot, cat) in tallies.stats.iter_mut().zip(cats) {
+        let nums = cat.as_arr().ok_or("category tallies must be an array")?;
+        if nums.len() != 6 {
+            return Err(format!("expected 6 tallies, got {}", nums.len()));
+        }
+        let n = |i: usize| nums[i].as_u64().ok_or("tally must be a number".to_string());
+        *slot = CategoryStats {
+            detected_check: n(0)?,
+            detected_hw: n(1)?,
+            other_fault: n(2)?,
+            benign: n(3)?,
+            sdc: n(4)?,
+            timeout: n(5)?,
+        };
     }
-
-    /// Folds another shard's tallies into this one — the same associative,
-    /// commutative algebra as [`CampaignReport::merge`], minus the golden
-    /// reference. Lets the report path merge persisted shards without
-    /// recompiling workloads.
-    pub fn absorb(&mut self, other: &ShardTallies) {
-        for (into, from) in self.stats.iter_mut().zip(&other.stats) {
-            into.detected_check += from.detected_check;
-            into.detected_hw += from.detected_hw;
-            into.other_fault += from.other_fault;
-            into.benign += from.benign;
-            into.sdc += from.sdc;
-            into.timeout += from.timeout;
+    tallies.skipped = v.get("skipped").and_then(Json::as_u64).ok_or("record missing skipped")?;
+    let rows = v.get("lat").and_then(Json::as_arr).ok_or("record missing lat")?;
+    if rows.len() != 7 {
+        return Err(format!("expected 7 latency rows, got {}", rows.len()));
+    }
+    for (slot_row, row) in tallies.lat.iter_mut().zip(rows) {
+        let cells = row.as_arr().ok_or("latency row must be an array")?;
+        if cells.len() != 6 {
+            return Err(format!("expected 6 latency cells, got {}", cells.len()));
         }
-        self.skipped += other.skipped;
-        for (into_row, from_row) in self.lat.iter_mut().zip(&other.lat) {
-            for (into, from) in into_row.iter_mut().zip(from_row) {
-                into.merge(from);
-            }
+        for (slot, cell) in slot_row.iter_mut().zip(cells) {
+            *slot = Histogram::from_json(cell)?;
         }
     }
-
-    /// Serializes the tallies as the store's shard record (public: the
-    /// `cfed-serve` result frames carry exactly this shape, so a
-    /// coordinator appends worker results without re-encoding).
-    pub fn to_json(&self, shard_key: &str) -> Json {
-        let cats = self
-            .stats
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    Json::UInt(s.detected_check),
-                    Json::UInt(s.detected_hw),
-                    Json::UInt(s.other_fault),
-                    Json::UInt(s.benign),
-                    Json::UInt(s.sdc),
-                    Json::UInt(s.timeout),
-                ])
-            })
-            .collect();
-        let lat = self
-            .lat
-            .iter()
-            .map(|row| Json::Arr(row.iter().map(Histogram::to_json).collect()))
-            .collect();
-        obj(vec![
-            ("shard", Json::Str(shard_key.to_string())),
-            ("cats", Json::Arr(cats)),
-            ("skipped", Json::UInt(self.skipped)),
-            ("lat", Json::Arr(lat)),
-        ])
-    }
-
-    /// Parses a shard record produced by [`ShardTallies::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the malformed field.
-    pub fn from_json(v: &Json) -> Result<ShardTallies, String> {
-        let cats = v.get("cats").and_then(Json::as_arr).ok_or("record missing cats")?;
-        if cats.len() != 7 {
-            return Err(format!("expected 7 categories, got {}", cats.len()));
-        }
-        let mut stats = [CategoryStats::default(); 7];
-        for (slot, cat) in stats.iter_mut().zip(cats) {
-            let nums = cat.as_arr().ok_or("category tallies must be an array")?;
-            if nums.len() != 6 {
-                return Err(format!("expected 6 tallies, got {}", nums.len()));
-            }
-            let n = |i: usize| nums[i].as_u64().ok_or("tally must be a number".to_string());
-            *slot = CategoryStats {
-                detected_check: n(0)?,
-                detected_hw: n(1)?,
-                other_fault: n(2)?,
-                benign: n(3)?,
-                sdc: n(4)?,
-                timeout: n(5)?,
-            };
-        }
-        let field = |k: &str| v.get(k).and_then(Json::as_u64).ok_or(format!("record missing {k}"));
-        let rows = v.get("lat").and_then(Json::as_arr).ok_or("record missing lat")?;
-        if rows.len() != 7 {
-            return Err(format!("expected 7 latency rows, got {}", rows.len()));
-        }
-        let mut tallies =
-            ShardTallies { stats, skipped: field("skipped")?, lat: LatencyGrid::default() };
-        for (slot_row, row) in tallies.lat.iter_mut().zip(rows) {
-            let cells = row.as_arr().ok_or("latency row must be an array")?;
-            if cells.len() != 6 {
-                return Err(format!("expected 6 latency cells, got {}", cells.len()));
-            }
-            for (slot, cell) in slot_row.iter_mut().zip(cells) {
-                *slot = Histogram::from_json(cell)?;
-            }
-        }
-        Ok(tallies)
-    }
+    Ok(tallies)
 }
 
 /// The open store: an append-only JSONL file plus the in-memory map of
@@ -236,7 +189,7 @@ pub struct CampaignStore {
     path: Option<PathBuf>,
     writer: Option<BufWriter<File>>,
     /// Shards with persisted results, by shard key.
-    pub done: BTreeMap<String, ShardTallies>,
+    pub done: BTreeMap<String, CampaignReport>,
     /// Shards whose last persisted record is a failure (retried on resume).
     pub failed: BTreeMap<String, String>,
     /// Per-cell execution profiles, by cell key (at most one per cell).
@@ -248,7 +201,7 @@ pub struct CampaignStore {
 /// Everything [`CampaignStore::load`] recovers from an existing store body.
 struct Loaded {
     header: StoreHeader,
-    done: BTreeMap<String, ShardTallies>,
+    done: BTreeMap<String, CampaignReport>,
     failed: BTreeMap<String, String>,
     profiles: BTreeMap<String, Profile>,
     /// Byte length of the valid prefix (everything before a possible
@@ -405,7 +358,7 @@ impl CampaignStore {
                         failed.insert(key, err.to_string());
                     } else {
                         failed.remove(&key);
-                        done.insert(key, ShardTallies::from_json(&value)?);
+                        done.insert(key, shard_from_json(&value)?);
                     }
                 }
                 valid_bytes = offset + consumed;
@@ -429,8 +382,8 @@ impl CampaignStore {
     }
 
     /// Persists one completed shard (appended and flushed immediately).
-    pub fn append_ok(&mut self, shard_key: &str, tallies: ShardTallies) -> Result<(), String> {
-        self.append_line(&tallies.to_json(shard_key).render())?;
+    pub fn append_ok(&mut self, shard_key: &str, tallies: CampaignReport) -> Result<(), String> {
+        self.append_line(&shard_to_json(shard_key, &tallies).render())?;
         self.done.insert(shard_key.to_string(), tallies);
         self.failed.remove(shard_key);
         Ok(())
@@ -495,7 +448,7 @@ impl CampaignStore {
 #[allow(clippy::type_complexity)]
 pub fn read_store(
     path: &Path,
-) -> Result<(StoreHeader, BTreeMap<String, ShardTallies>, BTreeMap<String, String>), String> {
+) -> Result<(StoreHeader, BTreeMap<String, CampaignReport>, BTreeMap<String, String>), String> {
     let mut text = String::new();
     File::open(path)
         .and_then(|mut f| f.read_to_string(&mut text))
@@ -558,7 +511,6 @@ pub fn read_meta(path: &Path, kind: &str) -> Result<Vec<Json>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfed_fault::Outcome;
 
     fn header() -> StoreHeader {
         StoreHeader {
@@ -571,8 +523,8 @@ mod tests {
         }
     }
 
-    fn tallies(n: u64) -> ShardTallies {
-        let mut t = ShardTallies { skipped: n, ..Default::default() };
+    fn tallies(n: u64) -> CampaignReport {
+        let mut t = CampaignReport { skipped: n, ..Default::default() };
         t.stats[0].detected_check = n + 1;
         t.stats[3].sdc = 2 * n;
         for i in 0..n {
@@ -652,7 +604,7 @@ mod tests {
         drop(CampaignStore::open(&path, &header()).unwrap());
         let mut raw = OpenOptions::new().append(true).open(&path).unwrap();
         writeln!(raw, "not json").unwrap();
-        writeln!(raw, "{}", tallies(1).to_json("cell#0").render()).unwrap();
+        writeln!(raw, "{}", shard_to_json("cell#0", &tallies(1)).render()).unwrap();
         drop(raw);
         assert!(CampaignStore::open(&path, &header()).is_err());
     }
@@ -707,18 +659,10 @@ mod tests {
     }
 
     #[test]
-    fn tallies_roundtrip_through_report() {
-        let golden = Golden { output: vec![1, 2], exit_code: 0, insts: 10, branches: 3 };
-        let mut report = CampaignReport::new(golden.clone());
-        report.record(Category::A, Outcome::DetectedByCheck, 17);
-        report.record(Category::F, Outcome::Sdc, 0);
-        report.skipped = 4;
-        let t = ShardTallies::from_report(&report);
-        let back = t.to_report(golden);
-        for c in Category::ALL {
-            assert_eq!(report.category(c), back.category(c));
-        }
-        assert_eq!(back.skipped, 4);
-        assert_eq!(back.latency_totals(), (17, 1));
+    fn shard_records_roundtrip() {
+        let t = tallies(3);
+        let json = shard_to_json("cell#2", &t);
+        assert_eq!(json.get("shard").and_then(Json::as_str), Some("cell#2"));
+        assert_eq!(shard_from_json(&json).unwrap(), t);
     }
 }

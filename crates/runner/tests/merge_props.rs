@@ -10,23 +10,19 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cfed_core::Category;
-use cfed_fault::{CampaignReport, CategoryStats, Golden, LatencyGrid, Outcome};
+use cfed_fault::{CampaignReport, CategoryStats, Outcome};
 use cfed_runner::report::{render_parts, summarize};
-use cfed_runner::store::{read_profiles, read_store, CampaignStore, ShardTallies, StoreHeader};
+use cfed_runner::store::{read_profiles, read_store, CampaignStore, StoreHeader};
 use cfed_telemetry::{BlockProfile, Profile};
 use proptest::prelude::*;
-
-fn golden() -> Golden {
-    Golden { output: vec![42], exit_code: 0, insts: 100, branches: 10 }
-}
 
 /// Builds a report from 43 raw tallies (7 categories × 6 outcomes, plus
 /// skipped) and a latency-sample list of `(category, outcome, latency)`
 /// triples recorded into the per-cell histograms.
 fn report_from(values: &[u64], samples: &[(usize, usize, u64)]) -> CampaignReport {
     assert_eq!(values.len(), 43);
-    let mut stats = [CategoryStats::default(); 7];
-    for (i, slot) in stats.iter_mut().enumerate() {
+    let mut report = CampaignReport { skipped: values[42], ..CampaignReport::default() };
+    for (i, slot) in report.stats.iter_mut().enumerate() {
         *slot = CategoryStats {
             detected_check: values[i * 6],
             detected_hw: values[i * 6 + 1],
@@ -36,11 +32,10 @@ fn report_from(values: &[u64], samples: &[(usize, usize, u64)]) -> CampaignRepor
             timeout: values[i * 6 + 5],
         };
     }
-    let mut lat = LatencyGrid::default();
     for &(c, o, l) in samples {
-        lat[c][o].record(l);
+        report.lat[c][o].record(l);
     }
-    CampaignReport::from_parts(golden(), stats, values[42], lat)
+    report
 }
 
 fn arb_report() -> impl Strategy<Value = CampaignReport> {
@@ -91,7 +86,7 @@ proptest! {
     #[test]
     fn empty_report_is_identity(a in arb_report()) {
         let mut merged = a.clone();
-        merged.merge(&CampaignReport::new(golden()));
+        merged.merge(&CampaignReport::default());
         assert_reports_equal(&merged, &a);
     }
 }
@@ -119,12 +114,12 @@ fn header(total_shards: u64) -> StoreHeader {
     }
 }
 
-fn arb_tallies() -> impl Strategy<Value = ShardTallies> {
+fn arb_tallies() -> impl Strategy<Value = CampaignReport> {
     (
         proptest::collection::vec(0u64..1_000_000, 43),
         proptest::collection::vec((0usize..7, 0usize..6, 0u64..1_000_000), 0..16),
     )
-        .prop_map(|(v, samples)| ShardTallies::from_report(&report_from(&v, &samples)))
+        .prop_map(|(v, samples)| report_from(&v, &samples))
 }
 
 /// Distinct shard keys over two cells, so `summarize` exercises grouping.
@@ -139,7 +134,7 @@ fn rendered(path: &Path) -> String {
 }
 
 /// The reference: every unit appended exactly once, in key order.
-fn clean_render(units: &[ShardTallies]) -> String {
+fn clean_render(units: &[CampaignReport]) -> String {
     let path = store_path();
     let mut store = CampaignStore::open(&path, &header(units.len() as u64)).unwrap();
     for (i, tallies) in units.iter().enumerate() {

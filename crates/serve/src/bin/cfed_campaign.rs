@@ -60,13 +60,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cfed_core::{run_engine, Category, RunConfig, TechniqueKind};
+use cfed_core::{run_engine, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, EngineSpec, UpdateStyle};
-use cfed_fault::CategoryStats;
-use cfed_runner::cli::Parser;
-use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
+use cfed_runner::cli::{Args, Parser};
+use cfed_runner::matrix::{CampaignMatrix, CellKey, WorkloadSpec};
 use cfed_runner::pool::{run_matrix, RunPerf, RunSummary, RunnerOptions};
-use cfed_runner::report::{render_attack_frontier, render_report};
+use cfed_runner::report::{render_attack_frontier, render_coverage, render_latency, render_report};
 use cfed_runner::retry::RetryPolicy;
 use cfed_runner::store::read_meta;
 use cfed_serve::{
@@ -96,12 +95,10 @@ fn main() {
                 );
                 std::process::exit(if argv.len() > 1 { 0 } else { 2 });
             }
-            Some(other) => {
-                eprintln!(
-                    "cfed-campaign: unknown serve subcommand {other:?} (expected coordinate or work)"
-                );
-                std::process::exit(2);
-            }
+            Some(other) => fatal(
+                "cfed-campaign",
+                format!("unknown serve subcommand {other:?} (expected coordinate or work)"),
+            ),
         },
         _ => run_campaign(&argv),
     }
@@ -139,40 +136,25 @@ fn run_report(argv: &[String]) {
         .switch("attacks", "render the attack detection frontier (archetype x technique)")
         .switch("serve-stats", "also render campaign-service counters (coordinator stores)")
         .parse_from(argv);
+    let prefix = "cfed-campaign";
     let store = Path::new(args.get("store").expect("required"));
     let rendered =
         if args.has("attacks") { render_attack_frontier(store) } else { render_report(store) };
-    match rendered {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("cfed-campaign: {e}");
-            std::process::exit(2);
-        }
-    }
+    print!("{}", rendered.unwrap_or_else(|e| fatal(prefix, e)));
     if args.has("serve-stats") {
-        match read_meta(store, "serve_stats") {
-            Ok(records) if records.is_empty() => {
-                println!("\nserve stats: none recorded (single-process store)");
-            }
-            Ok(records) => {
-                let mut total = ServeStats::default();
-                for record in &records {
-                    match ServeStats::from_meta(record) {
-                        Ok(s) => total.absorb(&s),
-                        Err(e) => {
-                            eprintln!("cfed-campaign: malformed serve_stats record: {e}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                println!("\nserve stats ({} coordinator phase(s)):", records.len());
-                print!("{}", total.render());
-            }
-            Err(e) => {
-                eprintln!("cfed-campaign: {e}");
-                std::process::exit(2);
-            }
+        let records = read_meta(store, "serve_stats").unwrap_or_else(|e| fatal(prefix, e));
+        if records.is_empty() {
+            println!("\nserve stats: none recorded (single-process store)");
+            return;
         }
+        let mut total = ServeStats::default();
+        for record in &records {
+            let stats = ServeStats::from_meta(record)
+                .unwrap_or_else(|e| fatal(prefix, format!("malformed serve_stats record: {e}")));
+            total.absorb(&stats);
+        }
+        println!("\nserve stats ({} coordinator phase(s)):", records.len());
+        print!("{}", total.render());
     }
 }
 
@@ -190,13 +172,10 @@ fn run_profile(argv: &[String]) {
     .required_flag("store", "PATH", "JSONL result store holding profile records")
     .flag("top", "N", "5", "hottest static blocks to list per cell")
     .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign profile: {message}");
-        std::process::exit(2);
-    };
+    let prefix = "cfed-campaign profile";
     let store = Path::new(args.get("store").expect("required"));
-    let top = args.get_usize("top").unwrap_or_else(|e| die(e));
-    let profiles = cfed_runner::read_profiles(store).unwrap_or_else(|e| die(e));
+    let top = args.get_usize("top").unwrap_or_else(|e| fatal(prefix, e));
+    let profiles = cfed_runner::read_profiles(store).unwrap_or_else(|e| fatal(prefix, e));
     if profiles.is_empty() {
         eprintln!(
             "cfed-campaign profile: no profile records in {} (was the run made with --no-profile?)",
@@ -205,18 +184,6 @@ fn run_profile(argv: &[String]) {
         std::process::exit(1);
     }
     print!("{}", render_profiles(&profiles, top));
-}
-
-/// The labelled fields of a cell key:
-/// `{workload}|{technique}|{style}|{policy}|{max_insts}|s{seed}|t{trials}`,
-/// with an optional trailing `atk:{archetype}` part on attack cells.
-fn cell_key_parts(key: &str) -> Option<(String, String, String, String)> {
-    let parts: Vec<&str> = key.split('|').collect();
-    let plausible = parts.len() == 7 || (parts.len() == 8 && parts[7].starts_with("atk:"));
-    if !plausible {
-        return None;
-    }
-    Some((parts[0].to_string(), parts[1].to_string(), parts[2].to_string(), parts[3].to_string()))
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -246,7 +213,7 @@ fn render_profiles(
         std::collections::BTreeMap::new();
 
     for (key, profile) in profiles {
-        let Some((workload, technique, style, policy)) = cell_key_parts(key) else {
+        let Some(CellKey { workload, technique, style, policy, .. }) = CellKey::parse(key) else {
             let _ = writeln!(out, "== {key} == (unrecognized key shape)");
             continue;
         };
@@ -280,10 +247,11 @@ fn render_profiles(
         let _ = writeln!(out);
 
         let totals = ProfTotals { total: t.total(), head: t.head, tail: t.tail };
+        let (workload, style) = (workload.to_string(), style.to_string());
         if technique == "baseline" {
             baseline.insert((workload, style), t.total());
         } else {
-            techs.entry((technique, style)).or_default().push((workload, totals));
+            techs.entry((technique.to_string(), style)).or_default().push((workload, totals));
         }
     }
 
@@ -335,7 +303,7 @@ struct ProfTotals {
 
 /// Builds the telemetry handle for `--events PATH`, validating the
 /// `--forensics`/`--events` pairing.
-fn telemetry_for(args: &cfed_runner::cli::Args, prefix: &str) -> Telemetry {
+fn telemetry_for(args: &Args, prefix: &str) -> Telemetry {
     if args.has("forensics") && args.get("events").filter(|s| !s.is_empty()).is_none() {
         fatal(
             prefix,
@@ -356,7 +324,7 @@ fn telemetry_for(args: &cfed_runner::cli::Args, prefix: &str) -> Telemetry {
     }
 }
 
-fn retry_policy_for(args: &cfed_runner::cli::Args, prefix: &str) -> RetryPolicy {
+fn retry_policy_for(args: &Args, prefix: &str) -> RetryPolicy {
     let max_attempts = args.get_u64("retries").unwrap_or_else(|e| fatal(prefix, e));
     let backoff_ms = args.get_u64("backoff-ms").unwrap_or_else(|e| fatal(prefix, e));
     if max_attempts == 0 {
@@ -399,20 +367,17 @@ fn run_campaign(argv: &[String]) {
             "skip per-cell execution profiling (profiles feed `cfed-campaign profile`)",
         )
         .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign: {message}");
-        std::process::exit(2);
-    };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
-    let threads = args.get_usize("threads").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
+    let prefix = "cfed-campaign";
+    let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
+    let threads = args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e));
+    let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let out = PathBuf::from(args.get("out").expect("has default"));
     let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
         Some(id) => id.to_string(),
         None => format!("campaign-s{seed}-t{trials}"),
     };
     let quiet = args.has("quiet");
-    let telemetry = telemetry_for(&args, "cfed-campaign");
+    let telemetry = telemetry_for(&args, prefix);
     let options = RunnerOptions {
         threads,
         max_shards: None,
@@ -422,7 +387,7 @@ fn run_campaign(argv: &[String]) {
         forensics: args.has("forensics"),
         snapshots: !args.has("no-snapshots"),
         profile: !args.has("no-profile"),
-        retry: retry_policy_for(&args, "cfed-campaign"),
+        retry: retry_policy_for(&args, prefix),
     };
 
     // The exact phase list `serve coordinate` uses, so stores (and their
@@ -443,7 +408,7 @@ fn run_campaign(argv: &[String]) {
             );
         }
         let run = run_matrix(&plan.matrix, &run_id, Some(&plan.store), &options)
-            .unwrap_or_else(|e| die(e));
+            .unwrap_or_else(|e| fatal(prefix, e));
         if !quiet {
             report_progress(&run);
         }
@@ -453,10 +418,8 @@ fn run_campaign(argv: &[String]) {
 
     for style in [UpdateStyle::CMov, UpdateStyle::Jcc] {
         println!("=== Coverage, {style} update style ({trials} trials/workload/config) ===");
-        print!(
-            "{}",
-            render_coverage(&coverage.matrix, coverage_run, style, &coverage.matrix.techniques)
-        );
+        let matrix = &coverage.matrix;
+        print!("{}", render_coverage(matrix, coverage_run, style, &matrix.techniques));
         println!();
     }
     println!("=== Detection latency by checking policy (EdgCF, CMOVcc) ===");
@@ -473,6 +436,13 @@ fn run_campaign(argv: &[String]) {
         eprintln!("cfed-campaign: some shards failed; re-run with the same --run-id to retry them");
         std::process::exit(1);
     }
+}
+
+/// The `--workloads` list: comma-separated names, empty for the default set.
+fn workloads_arg(args: &Args) -> Vec<String> {
+    args.get("workloads")
+        .map(|s| s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect())
+        .unwrap_or_default()
 }
 
 fn run_attacks(argv: &[String]) {
@@ -510,34 +480,27 @@ fn run_attacks(argv: &[String]) {
         "disable fast-forward snapshots; every trial replays its attack-free prefix from scratch",
     )
     .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign attack: {message}");
-        std::process::exit(2);
-    };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
-    let threads = args.get_usize("threads").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
+    let prefix = "cfed-campaign attack";
+    let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
+    let threads = args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e));
+    let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let out = PathBuf::from(args.get("out").expect("has default"));
     let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
         Some(id) => id.to_string(),
         None => format!("attack-s{seed}-t{trials}"),
     };
-    let workloads: Vec<String> = args
-        .get("workloads")
-        .filter(|s| !s.is_empty())
-        .map(|s| s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect())
-        .unwrap_or_default();
+    let workloads = workloads_arg(&args);
     let quiet = args.has("quiet");
     let options = RunnerOptions {
         threads,
         max_shards: None,
         progress: args.has("progress"),
         quiet,
-        telemetry: telemetry_for(&args, "cfed-campaign attack"),
+        telemetry: telemetry_for(&args, prefix),
         forensics: args.has("forensics"),
         snapshots: !args.has("no-snapshots"),
         profile: false,
-        retry: retry_policy_for(&args, "cfed-campaign attack"),
+        retry: retry_policy_for(&args, prefix),
     };
 
     // The exact phase `serve coordinate --attacks` uses, so stores (and the
@@ -552,15 +515,15 @@ fn run_attacks(argv: &[String]) {
             plan.store.display()
         );
     }
-    let run =
-        run_matrix(&plan.matrix, &run_id, Some(&plan.store), &options).unwrap_or_else(|e| die(e));
+    let run = run_matrix(&plan.matrix, &run_id, Some(&plan.store), &options)
+        .unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         report_progress(&run);
     }
 
     match render_attack_frontier(&plan.store) {
         Ok(text) => print!("{text}"),
-        Err(e) => die(e),
+        Err(e) => fatal(prefix, e),
     }
     if !quiet {
         eprintln!(
@@ -612,34 +575,31 @@ fn run_coordinate(argv: &[String]) {
     .switch("attacks", "run the adversarial attack study instead of coverage + latency")
     .switch("quiet", "suppress stderr progress output")
     .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign serve coordinate: {message}");
-        std::process::exit(2);
-    };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
+    let prefix = "cfed-campaign serve coordinate";
+    let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
+    let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let out = PathBuf::from(args.get("out").expect("has default"));
     let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
         Some(id) => id.to_string(),
         None => format!("campaign-s{seed}-t{trials}"),
     };
-    let lease_ms = args.get_u64("lease-ms").unwrap_or_else(|e| die(e));
-    let max_inflight = args.get_usize("max-inflight").unwrap_or_else(|e| die(e));
+    let lease_ms = args.get_u64("lease-ms").unwrap_or_else(|e| fatal(prefix, e));
+    let max_inflight = args.get_usize("max-inflight").unwrap_or_else(|e| fatal(prefix, e));
     if max_inflight == 0 {
-        die("--max-inflight must be at least 1".to_string());
+        fatal(prefix, "--max-inflight must be at least 1".to_string());
     }
     let quiet = args.has("quiet");
     let options = CoordinatorOptions {
         listen: args.get("listen").expect("has default").to_string(),
         http: args.get("http").filter(|s| !s.is_empty()).map(str::to_string),
         lease_ms,
-        retry: retry_policy_for(&args, "cfed-campaign serve coordinate"),
+        retry: retry_policy_for(&args, prefix),
         max_inflight,
         quiet,
-        telemetry: telemetry_for(&args, "cfed-campaign serve coordinate"),
+        telemetry: telemetry_for(&args, prefix),
     };
 
-    let coordinator = Coordinator::bind(options).unwrap_or_else(|e| die(e));
+    let coordinator = Coordinator::bind(options).unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         eprintln!("cfed-campaign serve coordinate: leasing on {}", coordinator.addr());
         if let Some(http) = coordinator.http_addr() {
@@ -651,21 +611,18 @@ fn run_coordinate(argv: &[String]) {
         if let Some(http) = coordinator.http_addr() {
             text.push_str(&format!("{http}\n"));
         }
-        std::fs::write(path, text).unwrap_or_else(|e| die(format!("writing {path}: {e}")));
+        std::fs::write(path, text)
+            .unwrap_or_else(|e| fatal(prefix, format!("writing {path}: {e}")));
     }
 
     let stop = install_sigint();
     let phases = if args.has("attacks") {
-        let workloads: Vec<String> = args
-            .get("workloads")
-            .filter(|s| !s.is_empty())
-            .map(|s| s.split(',').map(|w| w.trim().to_string()).filter(|w| !w.is_empty()).collect())
-            .unwrap_or_default();
-        attack_phases(&workloads, trials, seed, &out, &run_id)
+        attack_phases(&workloads_arg(&args), trials, seed, &out, &run_id)
     } else {
         campaign_phases(trials, seed, &out, &run_id)
     };
-    let summary = coordinator.run(&run_id, &phases, Some(stop)).unwrap_or_else(|e| die(e));
+    let summary =
+        coordinator.run(&run_id, &phases, Some(stop)).unwrap_or_else(|e| fatal(prefix, e));
 
     for phase in &summary.phases {
         println!(
@@ -716,10 +673,7 @@ fn run_work(argv: &[String]) {
     )
     .switch("quiet", "suppress stderr progress output")
     .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign serve work: {message}");
-        std::process::exit(2);
-    };
+    let prefix = "cfed-campaign serve work";
     let name = match args.get("name").filter(|s| !s.is_empty()) {
         Some(name) => name.to_string(),
         None => format!("worker-{}", std::process::id()),
@@ -727,14 +681,14 @@ fn run_work(argv: &[String]) {
     let options = WorkerOptions {
         connect: args.get("connect").expect("required").to_string(),
         name,
-        threads: args.get_usize("threads").unwrap_or_else(|e| die(e)),
+        threads: args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e)),
         snapshots: !args.has("no-snapshots"),
         profile: !args.has("no-profile"),
-        event_queue: args.get_usize("event-queue").unwrap_or_else(|e| die(e)),
+        event_queue: args.get_usize("event-queue").unwrap_or_else(|e| fatal(prefix, e)),
         quiet: args.has("quiet"),
     };
     let stop = install_sigint();
-    cfed_serve::work(&options, Some(stop)).unwrap_or_else(|e| die(e));
+    cfed_serve::work(&options, Some(stop)).unwrap_or_else(|e| fatal(prefix, e));
 }
 
 /// Tolerated slowdown against the committed baseline before the perf gate
@@ -1222,22 +1176,19 @@ fn run_bench(argv: &[String]) {
     )
     .switch("quiet", "suppress stderr progress output")
     .parse_from(argv);
-    let die = |message: String| -> ! {
-        eprintln!("cfed-campaign bench: {message}");
-        std::process::exit(2);
-    };
-    let trials = args.get_u64("trials").unwrap_or_else(|e| die(e));
-    let threads = args.get_usize("threads").unwrap_or_else(|e| die(e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| die(e));
+    let prefix = "cfed-campaign bench";
+    let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
+    let threads = args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e));
+    let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let quiet = args.has("quiet");
     let out = PathBuf::from(args.get("out").expect("has default"));
     let baseline = args.get("baseline").filter(|s| !s.is_empty()).map(|path| {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(format!("reading baseline {path}: {e}")));
+            .unwrap_or_else(|e| fatal(prefix, format!("reading baseline {path}: {e}")));
         let baseline = cfed_telemetry::json::parse(&text)
-            .unwrap_or_else(|e| die(format!("parsing baseline {path}: {e}")));
+            .unwrap_or_else(|e| fatal(prefix, format!("parsing baseline {path}: {e}")));
         if baseline.get("speedup_milli").and_then(Json::as_u64).is_none() {
-            die(format!("baseline {path} has no speedup_milli"));
+            fatal(prefix, format!("baseline {path} has no speedup_milli"));
         }
         baseline
     });
@@ -1255,10 +1206,11 @@ fn run_bench(argv: &[String]) {
 
     let run_pass = |label: &str, snapshots: bool| -> RunSummary {
         let options = RunnerOptions { threads, quiet: true, snapshots, ..Default::default() };
-        let summary = run_matrix(&matrix, label, None, &options).unwrap_or_else(|e| die(e));
+        let summary =
+            run_matrix(&matrix, label, None, &options).unwrap_or_else(|e| fatal(prefix, e));
         if !summary.complete() {
             let failures: Vec<&String> = summary.cells.iter().flat_map(|c| &c.failures).collect();
-            die(format!("{label} pass had failed shards: {failures:?}"));
+            fatal(prefix, format!("{label} pass had failed shards: {failures:?}"));
         }
         if !quiet {
             eprintln!(
@@ -1272,27 +1224,25 @@ fn run_bench(argv: &[String]) {
     let snap = run_pass("snapshots", true);
 
     // The fast path must be an optimization, not a different experiment:
-    // identical tallies, trial for trial.
+    // the same cells with identical whole reports — every tally, `skipped`
+    // and all 42 latency histograms.
+    if snap.cells.len() != scratch.cells.len() {
+        fatal(prefix, format!("{} vs {} cells", snap.cells.len(), scratch.cells.len()));
+    }
     for (a, b) in snap.cells.iter().zip(&scratch.cells) {
-        let (ra, rb) = (a.report.as_ref().unwrap(), b.report.as_ref().unwrap());
-        for c in Category::ALL {
-            if ra.category(c) != rb.category(c) {
-                die(format!("outcome divergence in cell {} category {c}", a.key));
-            }
-        }
-        if ra.skipped != rb.skipped || ra.latency_totals() != rb.latency_totals() {
-            die(format!("outcome divergence in cell {}", a.key));
+        if a.key != b.key || a.report != b.report {
+            fatal(prefix, format!("outcome divergence in cell {}", a.key));
         }
     }
 
-    let interp = bench_interp().unwrap_or_else(|e| die(e));
+    let interp = bench_interp().unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         eprintln!(
             "cfed-campaign bench: interp     raw {:.1} MIPS, decoded {:.1} MIPS ({:.2}x)",
             interp.raw_mips, interp.decoded_mips, interp.speedup
         );
     }
-    let native = bench_native().unwrap_or_else(|e| die(e));
+    let native = bench_native().unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         match &native {
             Some(n) => eprintln!(
@@ -1302,7 +1252,7 @@ fn run_bench(argv: &[String]) {
             None => eprintln!("cfed-campaign bench: native     backend unavailable on this host"),
         }
     }
-    let trace = bench_trace().unwrap_or_else(|e| die(e));
+    let trace = bench_trace().unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         match &trace {
             Some(t) => eprintln!(
@@ -1312,7 +1262,7 @@ fn run_bench(argv: &[String]) {
             None => eprintln!("cfed-campaign bench: trace      tier unavailable on this host"),
         }
     }
-    let prof_off = bench_profiler_off().unwrap_or_else(|e| die(e));
+    let prof_off = bench_profiler_off().unwrap_or_else(|e| fatal(prefix, e));
     if !quiet {
         eprintln!(
             "cfed-campaign bench: prof-off   dispatch {:.1} MIPS, direct {:.1} MIPS ({:.2}% \
@@ -1468,7 +1418,7 @@ fn run_bench(argv: &[String]) {
         });
     }
     std::fs::write(&out, obj(record).render() + "\n")
-        .unwrap_or_else(|e| die(format!("writing {}: {e}", out.display())));
+        .unwrap_or_else(|e| fatal(prefix, format!("writing {}: {e}", out.display())));
     println!(
         "bench: snapshots {:.1} trials/s, scratch {:.1} trials/s, speedup {speedup:.2}x -> {}",
         snap.perf.trials_per_sec,
@@ -1530,111 +1480,4 @@ fn report_progress(run: &RunSummary) {
         "cfed-campaign: executed {} shards, resumed {} from checkpoints",
         run.executed_shards, run.resumed_shards
     );
-}
-
-/// Sums category tallies across one configuration's workload cells.
-fn technique_totals(
-    matrix: &CampaignMatrix,
-    summary: &RunSummary,
-    technique: Option<TechniqueKind>,
-    style: UpdateStyle,
-) -> (Vec<(Category, CategoryStats)>, u64) {
-    let mut totals: Vec<(Category, CategoryStats)> =
-        Category::ALL.iter().map(|&c| (c, CategoryStats::default())).collect();
-    let mut missing = 0u64;
-    for (cell, result) in matrix.cells().iter().zip(&summary.cells) {
-        if cell.config.technique != technique || cell.config.style != style {
-            continue;
-        }
-        let Some(report) = result.report.as_ref() else {
-            missing += 1;
-            continue;
-        };
-        for (c, slot) in &mut totals {
-            let s = report.category(*c);
-            slot.detected_check += s.detected_check;
-            slot.detected_hw += s.detected_hw;
-            slot.other_fault += s.other_fault;
-            slot.benign += s.benign;
-            slot.sdc += s.sdc;
-            slot.timeout += s.timeout;
-        }
-    }
-    (totals, missing)
-}
-
-fn render_coverage(
-    matrix: &CampaignMatrix,
-    summary: &RunSummary,
-    style: UpdateStyle,
-    techniques: &[Option<TechniqueKind>],
-) -> String {
-    let mut out = String::new();
-    for &technique in techniques {
-        let (totals, missing) = technique_totals(matrix, summary, technique, style);
-        let name = technique.map_or("baseline".to_string(), |k| k.to_string());
-        let _ = writeln!(out, "\n== {name} ==");
-        if missing > 0 {
-            let _ = writeln!(out, "   ({missing} workload cells missing — run incomplete)");
-        }
-        let _ = writeln!(
-            out,
-            "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>8}",
-            "Category", "chk", "hw", "fault", "benign", "SDC", "timeout", "coverage"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(72));
-        for (c, s) in &totals {
-            if s.total() == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "{:>9} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>7.1}%",
-                c.to_string(),
-                s.detected_check,
-                s.detected_hw,
-                s.other_fault,
-                s.benign,
-                s.sdc,
-                s.timeout,
-                100.0 * s.coverage()
-            );
-        }
-    }
-    out
-}
-
-fn render_latency(matrix: &CampaignMatrix, summary: &RunSummary) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{:>8} | {:>16} | {:>12}", "policy", "mean latency", "check share");
-    let _ = writeln!(out, "{}", "-".repeat(44));
-    for policy in CheckPolicy::ALL {
-        let mut lat_sum = 0.0;
-        let mut lat_n = 0u64;
-        let mut chk = 0u64;
-        let mut hw = 0u64;
-        for (cell, result) in matrix.cells().iter().zip(&summary.cells) {
-            if cell.config.policy != policy {
-                continue;
-            }
-            let Some(report) = result.report.as_ref() else { continue };
-            if let Some(l) = report.mean_detection_latency() {
-                lat_sum += l;
-                lat_n += 1;
-            }
-            let t = report.sdc_prone_total();
-            chk += t.detected_check;
-            hw += t.detected_hw + t.other_fault;
-        }
-        let mean = if lat_n > 0 { lat_sum / lat_n as f64 } else { f64::NAN };
-        let share = if chk + hw > 0 { chk as f64 / (chk + hw) as f64 } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "{:>8} | {:>11.0} insts | {:>11.1}%",
-            policy.to_string(),
-            mean,
-            100.0 * share
-        );
-    }
-    out
 }

@@ -41,9 +41,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cfed_runner::matrix::{CampaignMatrix, CellSpec};
+use cfed_runner::matrix::{CampaignMatrix, CellSpec, ShardTask};
 use cfed_runner::retry::RetryPolicy;
-use cfed_runner::store::{CampaignStore, ShardTallies, StoreHeader};
+use cfed_runner::store::{shard_from_json, CampaignStore, StoreHeader};
 use cfed_telemetry::json::{obj, Json};
 use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
 
@@ -757,7 +757,7 @@ impl SchedulerState {
             return Ok(());
         }
         let record = frame.get("record").ok_or("result frame missing record")?;
-        let tallies = match ShardTallies::from_json(record) {
+        let tallies = match shard_from_json(record) {
             Ok(t) => t,
             Err(e) => {
                 // A malformed record counts as a failed attempt.
@@ -906,8 +906,7 @@ impl SchedulerState {
 
 /// Looks up a unit's `(cell, shard)` from its key via the phase cell list.
 fn phase_unit(phase: &PhaseRun, key: &str) -> Option<(usize, u64)> {
-    let (cell_key, shard) = key.rsplit_once('#')?;
-    let shard: u64 = shard.parse().ok()?;
+    let (cell_key, shard) = ShardTask::split_key(key)?;
     let cell = phase.cells.iter().position(|c| c.key() == cell_key)?;
     Some((cell, shard))
 }

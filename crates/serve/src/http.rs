@@ -26,8 +26,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cfed_fault::CampaignReport;
 use cfed_runner::report::{render_parts, summarize};
-use cfed_runner::store::{ShardTallies, StoreHeader};
+use cfed_runner::store::StoreHeader;
 use cfed_telemetry::json::{obj, Json};
 use cfed_telemetry::{MetricKind, ProfileTotals, Registry};
 
@@ -61,7 +62,7 @@ struct Inner {
     run_id: String,
     phase: String,
     header: Option<StoreHeader>,
-    done: BTreeMap<String, ShardTallies>,
+    done: BTreeMap<String, CampaignReport>,
     failed: BTreeMap<String, String>,
     workers: usize,
     /// Outstanding leases per live worker.
@@ -109,7 +110,7 @@ impl LiveView {
         run_id: &str,
         phase: &str,
         header: StoreHeader,
-        done: BTreeMap<String, ShardTallies>,
+        done: BTreeMap<String, CampaignReport>,
         failed: BTreeMap<String, String>,
     ) {
         let mut inner = self.inner.lock().expect("live view poisoned");
@@ -120,7 +121,7 @@ impl LiveView {
         inner.failed = failed;
     }
 
-    pub(crate) fn record_done(&self, key: &str, tallies: ShardTallies) {
+    pub(crate) fn record_done(&self, key: &str, tallies: CampaignReport) {
         let mut inner = self.inner.lock().expect("live view poisoned");
         inner.failed.remove(key);
         inner.done.insert(key.to_string(), tallies);
@@ -428,7 +429,7 @@ mod tests {
             BTreeMap::new(),
             BTreeMap::new(),
         );
-        live.record_done("cell#0", ShardTallies::default());
+        live.record_done("cell#0", CampaignReport::default());
         let (_, body) = get(&addr, "/report");
         assert!(body.contains("run r"), "{body}");
         let (_, body) = get(&addr, "/progress");

@@ -34,9 +34,8 @@ pub mod worker;
 
 use std::path::Path;
 
-use cfed_core::TechniqueKind;
-use cfed_dbt::{CheckPolicy, UpdateStyle};
-use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec, CAMPAIGN_WORKLOADS};
+use cfed_dbt::UpdateStyle;
+use cfed_runner::matrix::{campaign_workloads, CampaignMatrix, WorkloadSpec};
 use cfed_workloads::Scale;
 
 pub use coordinator::{
@@ -55,35 +54,16 @@ pub use worker::{work, WorkerOptions, WorkerSummary};
 /// 2. `latency` — EdgCF/CMOVcc under the four checking policies, stored
 ///    at `{out}/{run_id}-latency.jsonl`.
 pub fn campaign_phases(trials: u64, seed: u64, out: &Path, run_id: &str) -> Vec<PhasePlan> {
-    let workloads: Vec<WorkloadSpec> =
-        CAMPAIGN_WORKLOADS.iter().map(|name| WorkloadSpec::named(name, Scale::Test)).collect();
-    let mut techniques: Vec<Option<TechniqueKind>> = vec![None];
-    techniques.extend(TechniqueKind::ALL_FIVE.into_iter().map(Some));
+    let styles = [UpdateStyle::CMov, UpdateStyle::Jcc];
     vec![
         PhasePlan {
             label: "coverage".to_string(),
-            matrix: CampaignMatrix {
-                workloads: workloads.clone(),
-                techniques,
-                styles: vec![UpdateStyle::CMov, UpdateStyle::Jcc],
-                policies: vec![CheckPolicy::AllBb],
-                trials,
-                seed,
-                attacks: vec![None],
-            },
+            matrix: CampaignMatrix::coverage(campaign_workloads(), &styles, trials, seed),
             store: out.join(format!("{run_id}-coverage.jsonl")),
         },
         PhasePlan {
             label: "latency".to_string(),
-            matrix: CampaignMatrix {
-                workloads,
-                techniques: vec![Some(TechniqueKind::EdgCf)],
-                styles: vec![UpdateStyle::CMov],
-                policies: CheckPolicy::ALL.to_vec(),
-                trials,
-                seed,
-                attacks: vec![None],
-            },
+            matrix: CampaignMatrix::latency(campaign_workloads(), trials, seed),
             store: out.join(format!("{run_id}-latency.jsonl")),
         },
     ]
@@ -103,13 +83,11 @@ pub fn attack_phases(
     out: &Path,
     run_id: &str,
 ) -> Vec<PhasePlan> {
-    let names: Vec<&str> = if workloads.is_empty() {
-        CAMPAIGN_WORKLOADS.to_vec()
+    let specs: Vec<WorkloadSpec> = if workloads.is_empty() {
+        campaign_workloads()
     } else {
-        workloads.iter().map(String::as_str).collect()
+        workloads.iter().map(|name| WorkloadSpec::named(name, Scale::Test)).collect()
     };
-    let specs: Vec<WorkloadSpec> =
-        names.iter().map(|name| WorkloadSpec::named(name, Scale::Test)).collect();
     vec![PhasePlan {
         label: "attacks".to_string(),
         matrix: CampaignMatrix::attacks(specs, trials, seed),
@@ -120,6 +98,7 @@ pub fn attack_phases(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfed_runner::matrix::{CellKey, ShardTask};
 
     #[test]
     fn attack_phases_cover_every_archetype_and_technique() {
@@ -144,5 +123,30 @@ mod tests {
         assert_eq!(phases[1].label, "latency");
         assert_eq!(phases[1].matrix.cells().len(), 6 * 4);
         assert!(phases[1].store.ends_with("r1-latency.jsonl"));
+    }
+
+    #[test]
+    fn every_study_key_parses_back() {
+        let out = Path::new("out");
+        let mut plans = campaign_phases(130, 7, out, "r");
+        plans.extend(attack_phases(&[], 130, 7, out, "r"));
+        for plan in &plans {
+            let cells = plan.matrix.cells();
+            for cell in &cells {
+                let key = cell.key();
+                let parsed = CellKey::parse(&key).unwrap_or_else(|| panic!("unparsed {key}"));
+                let technique = cell.config.technique.map_or("baseline".into(), |k| k.to_string());
+                assert_eq!(parsed.workload, cell.workload.key(), "{key}");
+                assert_eq!(parsed.technique, technique, "{key}");
+                assert_eq!(parsed.style, cell.config.style.to_string(), "{key}");
+                assert_eq!(parsed.policy, cell.config.policy.to_string(), "{key}");
+                assert_eq!(parsed.attack, cell.attack, "{key}");
+            }
+            for task in CampaignMatrix::shards(&cells) {
+                let key = task.key(&cells);
+                let cell_key = cells[task.cell].key();
+                assert_eq!(ShardTask::split_key(&key), Some((cell_key.as_str(), task.shard_index)));
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@
 //! |                      |           | needed for frames already sent)            |
 //!
 //! Results carry the exact JSON shape the result store persists
-//! ([`cfed_runner::store::ShardTallies::to_json`]), so the coordinator
+//! ([`cfed_runner::store::shard_to_json`]), so the coordinator
 //! appends them without re-encoding — which is what keeps a multi-process
 //! store byte-compatible with a single-process one.
 

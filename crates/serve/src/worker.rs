@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use cfed_runner::matrix::{CellSpec, ShardTask};
 use cfed_runner::pool::{GoldenCache, UnitExecutor};
+use cfed_runner::store::shard_to_json;
 use cfed_telemetry::json::{obj, Json};
 use cfed_telemetry::{ChannelSink, Event, EventSink, Profile};
 
@@ -199,7 +200,7 @@ fn serve_connection(
                 let started = Instant::now();
                 let run = executor.run(&task.ctx.cells[task.cell], task.shard);
                 let ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-                let outcome = run.tallies.map(|t| t.to_json(&task.key));
+                let outcome = run.tallies.map(|t| shard_to_json(&task.key, &t));
                 let done = WorkerMsg::Done {
                     phase: task.phase,
                     cell: task.cell,

@@ -24,7 +24,7 @@ use cfed_runner::matrix::{CampaignMatrix, WorkloadSpec};
 use cfed_runner::pool::{run_matrix, GoldenCache, RunnerOptions, UnitExecutor};
 use cfed_runner::report::{render_attack_frontier, render_report};
 use cfed_runner::retry::RetryPolicy;
-use cfed_runner::store::read_meta;
+use cfed_runner::store::{read_meta, shard_to_json};
 use cfed_serve::proto::{read_frame, tag, write_frame};
 use cfed_serve::{work, Coordinator, CoordinatorOptions, PhasePlan, ServeStats, WorkerOptions};
 use cfed_telemetry::json::{obj, Json};
@@ -206,7 +206,7 @@ fn duplicate_result_delivery_is_idempotent() {
             ("key", Json::Str(key)),
             ("ms", Json::UInt(1)),
             ("dropped", Json::UInt(0)),
-            ("record", tallies.to_json(lease.get("key").and_then(Json::as_str).unwrap())),
+            ("record", shard_to_json(lease.get("key").and_then(Json::as_str).unwrap(), &tallies)),
         ]);
         write_frame(&mut fake, &result).unwrap();
         write_frame(&mut fake, &obj(vec![("t", Json::Str("bye".to_string()))])).unwrap();
