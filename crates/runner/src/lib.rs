@@ -12,6 +12,10 @@
 //!   per-worker image/golden caches and panic isolation; merged per-cell
 //!   tallies are bit-identical to the serial [`cfed_fault::Campaign::run`]
 //!   path for any thread count or scheduling order;
+//! * [`ledger`] — how a run records its shards: store set-up and resume,
+//!   shard/failure/profile records with their telemetry events, and the
+//!   always-on flight recorder, shared by the pool and the `cfed-serve`
+//!   coordinator;
 //! * [`retry`] — the bounded-retry/backoff policy for failed shards,
 //!   shared (type and semantics) with the `cfed-serve` campaign service;
 //! * [`store`] — a checkpointed JSONL result store: every finished shard
@@ -57,6 +61,7 @@
 //! ```
 
 pub mod cli;
+pub mod ledger;
 pub mod matrix;
 pub mod pool;
 pub mod report;
@@ -65,10 +70,11 @@ pub mod store;
 
 pub use cfed_telemetry::json;
 
+pub use ledger::{CellResult, Ledger};
 pub use matrix::{CampaignMatrix, CellSpec, ShardTask, WorkloadSpec};
 pub use pool::{
-    parallel_map, run_matrix, CellResult, GoldenCache, RunSummary, RunnerOptions, UnitExecutor,
-    UnitRun,
+    parallel_map, resolve_threads, run_matrix, GoldenCache, RunSummary, RunnerOptions,
+    UnitExecutor, UnitRun,
 };
 pub use retry::RetryPolicy;
 pub use store::{read_meta, read_profiles, read_store, CampaignStore, StoreHeader};

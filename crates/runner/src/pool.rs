@@ -2,14 +2,16 @@
 //! workers, checkpointing each finished shard to the JSONL store.
 //!
 //! Workers pop [`ShardTask`]s from a shared queue and send results over a
-//! channel to the main thread, which is the store's single writer. Each
+//! channel to the main thread, which records them through the matrix's
+//! [`Ledger`] — the store's single writer — as they land. Each
 //! worker keeps its own compiled-image cache, while golden runs — and the
 //! fast-forward [`SnapshotSet`]s captured alongside them — live in one
 //! pool-wide cache keyed on the cell's golden identity, so every worker
 //! shares a single translated code cache per `(image, config)` instead of
 //! re-golden-running per thread. Shard panics and fault-free-run failures
-//! are caught and recorded as failed shards (retried on a later resume)
-//! instead of taking the pool down.
+//! are caught and retried in place under the [`RetryPolicy`]; a shard
+//! that exhausts it is recorded failed (retried on a later resume) instead
+//! of taking the pool down.
 //!
 //! Determinism: a shard's tallies depend only on `(cell, shard index)` —
 //! see [`crate::matrix`] — so the merged per-cell reports are bit-identical
@@ -24,17 +26,17 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cfed_asm::Image;
-use cfed_core::{profile_dbt, Category, RunConfig};
+use cfed_core::{profile_dbt, RunConfig};
 use cfed_fault::{
     golden_run, CampaignReport, Forensics, Golden, SnapshotSet, SnapshotStats, Trial,
     WorkloadError, DEFAULT_TRACE_WINDOW,
 };
-use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
+use cfed_telemetry::{Event, Profile, Telemetry};
 
 use crate::json::Json;
+use crate::ledger::{CellResult, Ledger};
 use crate::matrix::{CampaignMatrix, CellSpec, ShardTask};
 use crate::retry::RetryPolicy;
-use crate::store::{CampaignStore, StoreHeader};
 
 /// Pool configuration.
 #[derive(Debug, Clone)]
@@ -51,8 +53,9 @@ pub struct RunnerOptions {
     /// status line; failures are still reported).
     pub quiet: bool,
     /// Structured-event handle. Disabled by default; when a sink is
-    /// attached the pool emits `shard_done` / `shard_failed` / `run_done`
-    /// events and any forensics bundles.
+    /// attached it receives the [`Ledger`]'s shard events
+    /// (`attack_outcomes`, `shard_done`, `shard_failed`, `profile`), the
+    /// pool's `run_done` and `campaign_perf`, and any forensics bundles.
     pub telemetry: Telemetry,
     /// Re-inject SDC / timeout / misdetection trials with a tracer
     /// attached and emit the forensics bundles as telemetry events.
@@ -156,19 +159,17 @@ impl ProgressLine {
     }
 }
 
-impl RunnerOptions {
-    /// The worker count a pool will actually use: `threads` capped at
-    /// `std::thread::available_parallelism()` (oversubscribing a CPU-bound
-    /// pool only adds scheduler churn, and recorded host metadata must
-    /// never claim more resolved workers than the host has CPUs), or
-    /// available parallelism itself when `threads` is `0`.
-    pub fn resolved_threads(&self) -> usize {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.threads > 0 {
-            return self.threads.min(cores);
-        }
-        cores
+/// The worker count a pool will actually use for `requested` threads:
+/// `requested` capped at `std::thread::available_parallelism()`
+/// (oversubscribing a CPU-bound pool only adds scheduler churn, and
+/// recorded host metadata must never claim more resolved workers than the
+/// host has CPUs), or available parallelism itself when `requested` is `0`.
+pub fn resolve_threads(requested: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if requested > 0 {
+        return requested.min(cores);
     }
+    cores
 }
 
 /// Maps `0..n` through `f` on a scoped worker pool and returns the results
@@ -192,7 +193,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = RunnerOptions { threads, ..Default::default() }.resolved_threads().min(n.max(1));
+    let workers = resolve_threads(threads).min(n.max(1));
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
@@ -223,31 +224,6 @@ where
         // present.
         out.into_iter().map(|v| v.expect("every index produced")).collect()
     })
-}
-
-/// Result of one cell after the run.
-#[derive(Debug)]
-pub struct CellResult {
-    /// Index into the matrix's cell list.
-    pub cell: usize,
-    /// The cell's identity key.
-    pub key: String,
-    /// Merged report over the cell's completed shards, `None` if none
-    /// completed (e.g. the workload traps under this configuration).
-    pub report: Option<CampaignReport>,
-    /// Completed shards.
-    pub done_shards: u64,
-    /// Total shards in the cell.
-    pub total_shards: u64,
-    /// Error messages of failed shards (panics, golden failures).
-    pub failures: Vec<String>,
-}
-
-impl CellResult {
-    /// Whether every shard of the cell completed.
-    pub fn complete(&self) -> bool {
-        self.done_shards == self.total_shards
-    }
 }
 
 /// Throughput and fast-forward statistics for one pool invocation.
@@ -286,52 +262,15 @@ impl RunSummary {
     pub fn complete(&self) -> bool {
         self.cells.iter().all(CellResult::complete)
     }
-
-    /// Looks up a completed cell's report by workload key and configuration.
-    pub fn report_for(&self, cell_key: &str) -> Option<&CampaignReport> {
-        self.cells.iter().find(|c| c.key == cell_key).and_then(|c| c.report.as_ref())
-    }
-}
-
-enum ShardOutcome {
-    Ok(Box<CampaignReport>),
-    Failed(String),
 }
 
 struct ShardDone {
     task: ShardTask,
     key: String,
-    outcome: ShardOutcome,
-    /// Errors of failed attempts that preceded `outcome` (bounded retry).
+    /// The final attempt.
+    run: UnitRun,
+    /// Errors of failed attempts that preceded `run` (bounded retry).
     attempt_errors: Vec<String>,
-    /// The cell's execution profile (when profiling is enabled); the main
-    /// thread persists it once per cell.
-    profile: Option<Arc<Profile>>,
-    /// Serialized forensics bundles captured for this shard.
-    forensics: Vec<Json>,
-    /// Trials that warranted a bundle (may exceed `forensics.len()` when
-    /// the per-shard cap truncated the captures).
-    forensics_wanted: u64,
-}
-
-/// Per-worker cache of compiled images, keyed by the workload identity
-/// string (compilation is cheap; sharing it across threads isn't worth a
-/// lock on the hot path).
-#[derive(Default)]
-struct WorkerCache {
-    images: HashMap<String, Arc<Image>>,
-}
-
-impl WorkerCache {
-    fn image(&mut self, cell: &CellSpec) -> Result<Arc<Image>, String> {
-        let key = cell.workload.key();
-        if let Some(img) = self.images.get(&key) {
-            return Ok(Arc::clone(img));
-        }
-        let img = Arc::new(cell.workload.image()?);
-        self.images.insert(key, Arc::clone(&img));
-        Ok(img)
-    }
 }
 
 /// A cell's golden run plus the snapshot set captured alongside it
@@ -415,7 +354,9 @@ pub struct UnitRun {
 /// One executor per thread; the image cache inside is thread-local, the
 /// golden/snapshot cache is whatever the caller shares.
 pub struct UnitExecutor {
-    cache: WorkerCache,
+    /// Compiled images by workload identity string (compilation is cheap;
+    /// sharing it across threads isn't worth a lock on the hot path).
+    images: HashMap<String, Arc<Image>>,
     goldens: Arc<GoldenCache>,
     forensics: bool,
 }
@@ -424,23 +365,88 @@ impl UnitExecutor {
     /// An executor over `goldens`; `forensics` re-injects interesting
     /// trials with a tracer and captures bundles.
     pub fn new(goldens: Arc<GoldenCache>, forensics: bool) -> UnitExecutor {
-        UnitExecutor { cache: WorkerCache::default(), goldens, forensics }
+        UnitExecutor { images: HashMap::new(), goldens, forensics }
+    }
+
+    fn image(&mut self, cell: &CellSpec) -> Result<Arc<Image>, String> {
+        let key = cell.workload.key();
+        if let Some(img) = self.images.get(&key) {
+            return Ok(Arc::clone(img));
+        }
+        let img = Arc::new(cell.workload.image()?);
+        self.images.insert(key, Arc::clone(&img));
+        Ok(img)
     }
 
     /// Runs shard `shard_index` of `cell`. Deterministic in
     /// `(cell, shard_index)`: any executor on any host produces identical
     /// tallies. Panics inside the unit are caught and surface as `Err`.
     pub fn run(&mut self, cell: &CellSpec, shard_index: u64) -> UnitRun {
-        let run = run_shard(&mut self.cache, &self.goldens, cell, shard_index, self.forensics);
-        let tallies = match run.outcome {
-            ShardOutcome::Ok(tallies) => Ok(tallies),
-            ShardOutcome::Failed(e) => Err(e),
+        let failed = |message: String| UnitRun {
+            tallies: Err(message),
+            profile: None,
+            forensics: Vec::new(),
+            forensics_wanted: 0,
         };
-        UnitRun {
-            tallies,
-            profile: run.profile,
-            forensics: run.forensics,
-            forensics_wanted: run.forensics_wanted,
+        let image = match self.image(cell) {
+            Ok(img) => img,
+            Err(e) => return failed(e),
+        };
+        let PreparedGolden { golden, snapshots, profile } = match self.goldens.get(cell, &image) {
+            Ok(p) => p,
+            Err(e) => return failed(e),
+        };
+        let snaps = snapshots.as_deref();
+        let forensics = self.forensics;
+        // Trials that warranted a forensics capture (see [`Forensics::wanted`]).
+        let mut wanted: Vec<Trial> = Vec::new();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut want = |trial: Trial, r: &_| {
+                if forensics && Forensics::wanted(r) {
+                    wanted.push(trial);
+                }
+            };
+            match cell.attack_campaign() {
+                Some(attack) => {
+                    attack.run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
+                        want(Trial::Attack(spec), r)
+                    })
+                }
+                None => cell.campaign().run_shard_with(
+                    &image,
+                    &golden,
+                    snaps,
+                    shard_index,
+                    |spec, r| want(Trial::Fault(spec), r),
+                ),
+            }
+        }));
+        match result {
+            Ok(Ok(report)) => {
+                let bundles = wanted
+                    .iter()
+                    .take(MAX_FORENSICS_PER_SHARD)
+                    .filter_map(|&trial| {
+                        Forensics::capture(
+                            &image,
+                            &cell.config,
+                            trial,
+                            &golden,
+                            DEFAULT_TRACE_WINDOW,
+                            snaps,
+                        )
+                    })
+                    .map(|b| b.to_json())
+                    .collect();
+                UnitRun {
+                    tallies: Ok(Box::new(report)),
+                    profile,
+                    forensics: bundles,
+                    forensics_wanted: wanted.len() as u64,
+                }
+            }
+            Ok(Err(e)) => failed(format!("shard failed: {e}")),
+            Err(e) => failed(format!("shard panicked: {}", panic_message(&e))),
         }
     }
 
@@ -522,91 +528,6 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
 /// along in each bundle's event, so truncation is visible.
 const MAX_FORENSICS_PER_SHARD: usize = 8;
 
-/// Flight-recorder window: the recent events attached to each forensics
-/// bundle event (enough context to see the shards and retries leading up
-/// to an SDC/timeout without unbounded history).
-const FLIGHT_WINDOW: usize = 64;
-
-struct ShardRun {
-    outcome: ShardOutcome,
-    profile: Option<Arc<Profile>>,
-    forensics: Vec<Json>,
-    forensics_wanted: u64,
-}
-
-fn run_shard(
-    cache: &mut WorkerCache,
-    goldens: &GoldenCache,
-    cell: &CellSpec,
-    shard_index: u64,
-    forensics: bool,
-) -> ShardRun {
-    let failed = |message: String| ShardRun {
-        outcome: ShardOutcome::Failed(message),
-        profile: None,
-        forensics: Vec::new(),
-        forensics_wanted: 0,
-    };
-    let image = match cache.image(cell) {
-        Ok(img) => img,
-        Err(e) => return failed(e),
-    };
-    let prepared = match goldens.get(cell, &image) {
-        Ok(p) => p,
-        Err(e) => return failed(e),
-    };
-    let PreparedGolden { golden, snapshots, profile } = prepared;
-    let snaps = snapshots.as_deref();
-    // Trials that warranted a forensics capture (see [`Forensics::wanted`]).
-    let mut wanted: Vec<Trial> = Vec::new();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut want = |trial: Trial, r: &_| {
-            if forensics && Forensics::wanted(r) {
-                wanted.push(trial);
-            }
-        };
-        match cell.attack_campaign() {
-            Some(attack) => {
-                attack.run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                    want(Trial::Attack(spec), r)
-                })
-            }
-            None => {
-                cell.campaign().run_shard_with(&image, &golden, snaps, shard_index, |spec, r| {
-                    want(Trial::Fault(spec), r)
-                })
-            }
-        }
-    }));
-    match result {
-        Ok(Ok(report)) => {
-            let bundles = wanted
-                .iter()
-                .take(MAX_FORENSICS_PER_SHARD)
-                .filter_map(|&trial| {
-                    Forensics::capture(
-                        &image,
-                        &cell.config,
-                        trial,
-                        &golden,
-                        DEFAULT_TRACE_WINDOW,
-                        snaps,
-                    )
-                })
-                .map(|b| b.to_json())
-                .collect();
-            ShardRun {
-                outcome: ShardOutcome::Ok(Box::new(report)),
-                profile,
-                forensics: bundles,
-                forensics_wanted: wanted.len() as u64,
-            }
-        }
-        Ok(Err(e)) => failed(format!("shard failed: {e}")),
-        Err(e) => failed(format!("shard panicked: {}", panic_message(&e))),
-    }
-}
-
 /// Runs (or resumes) a campaign matrix.
 ///
 /// With a `store_path`, every finished shard is checkpointed to the JSONL
@@ -620,44 +541,22 @@ pub fn run_matrix(
     options: &RunnerOptions,
 ) -> Result<RunSummary, String> {
     let run_timer = Instant::now();
-    let cells = matrix.cells();
-    let all_shards = CampaignMatrix::shards(&cells);
-    let header = StoreHeader {
-        run_id: run_id.to_string(),
-        seed: matrix.seed,
-        trials: matrix.trials,
-        shard_trials: CampaignMatrix::shard_trials(),
-        digest: CampaignMatrix::digest(&cells),
-        total_shards: all_shards.len() as u64,
-    };
-    let mut store = match store_path {
-        Some(path) => CampaignStore::open(path, &header)?,
-        None => CampaignStore::in_memory(),
-    };
-
-    let mut pending: Vec<ShardTask> =
-        all_shards.iter().copied().filter(|t| !store.done.contains_key(&t.key(&cells))).collect();
-    let resumed_shards = (all_shards.len() - pending.len()) as u64;
+    let flight = Ledger::recorder(&options.telemetry);
+    let mut ledger = Ledger::open(run_id, matrix, store_path, Arc::clone(&flight))?;
+    let cells = Arc::clone(&ledger.cells);
+    let mut pending = ledger.pending();
+    let resumed_shards = ledger.header.total_shards - pending.len() as u64;
     if let Some(max) = options.max_shards {
         pending.truncate(max);
     }
     let to_run = pending.len();
     let executed_trials: u64 =
-        pending.iter().map(|t| cells[t.cell].campaign().shard_trials(t.shard_index)).sum();
+        pending.iter().map(|(t, _)| cells[t.cell].campaign().shard_trials(t.shard_index)).sum();
 
     let golden_cache = Arc::new(GoldenCache::new(options.snapshots, options.profile));
     let mut retried_attempts = 0u64;
 
-    // The always-on flight recorder tees in front of the configured sink
-    // (or stands alone when telemetry is off), so anomaly paths can attach
-    // the recent-event window without changing what downstream sees.
-    let flight = Arc::new(match options.telemetry.sink() {
-        Some(inner) => FlightRecorder::tee(FLIGHT_WINDOW, inner),
-        None => FlightRecorder::new(FLIGHT_WINDOW),
-    });
-    let telemetry = Telemetry::to(Arc::clone(&flight) as Arc<dyn EventSink>);
-
-    let threads = options.resolved_threads().min(to_run.max(1)).max(1);
+    let threads = resolve_threads(options.threads).min(to_run.max(1)).max(1);
     if to_run > 0 {
         let queue = Mutex::new(pending.into_iter().collect::<std::collections::VecDeque<_>>());
         let (tx, rx) = mpsc::channel::<ShardDone>();
@@ -673,27 +572,15 @@ pub fn run_matrix(
                     let mut executor =
                         UnitExecutor::new(Arc::clone(golden_cache_ref), forensics_on);
                     loop {
-                        let task = match queue_ref.lock().expect("queue poisoned").pop_front() {
-                            Some(t) => t,
-                            None => break,
+                        let Some((task, key)) =
+                            queue_ref.lock().expect("queue poisoned").pop_front()
+                        else {
+                            break;
                         };
                         let cell = &cells_ref[task.cell];
                         let (run, attempt_errors) =
                             executor.run_with_retry(cell, task.shard_index, &retry);
-                        let outcome = match run.tallies {
-                            Ok(tallies) => ShardOutcome::Ok(tallies),
-                            Err(e) => ShardOutcome::Failed(e),
-                        };
-                        let done = ShardDone {
-                            task,
-                            key: task.key(cells_ref),
-                            outcome,
-                            attempt_errors,
-                            profile: run.profile,
-                            forensics: run.forensics,
-                            forensics_wanted: run.forensics_wanted,
-                        };
-                        if tx.send(done).is_err() {
+                        if tx.send(ShardDone { task, key, run, attempt_errors }).is_err() {
                             break;
                         }
                     }
@@ -701,99 +588,37 @@ pub fn run_matrix(
             }
             drop(tx);
 
-            // Main thread: single store writer, checkpointing as results land.
+            // Main thread: records results through the ledger as they land.
             let mut progress = ProgressLine::new(options.quiet);
             let mut received = 0usize;
             let mut failed = 0usize;
-            for done in rx {
+            for ShardDone { task, key, run, attempt_errors } in rx {
                 received += 1;
-                let ShardDone {
-                    task,
-                    key,
-                    outcome,
-                    attempt_errors,
-                    profile,
-                    forensics,
-                    forensics_wanted,
-                } = done;
-                if let Some(p) = profile {
-                    // Idempotent: only the first shard of a cell (and only
-                    // on a run that doesn't already hold the record) writes.
-                    let cell_key = cells_ref[task.cell].key();
-                    if store.append_profile(&cell_key, &p)? {
-                        telemetry.emit_with(|| {
-                            let t = p.totals();
-                            Event::new("profile")
-                                .str("cell", &cell_key)
-                                .u64("blocks", p.num_blocks() as u64)
-                                .u64("payload_cycles", t.payload)
-                                .u64("instr_cycles", t.instr())
-                                .u64("other_cycles", t.other)
-                        });
-                    }
+                if let Some(p) = run.profile {
+                    ledger.record_profile(&cells_ref[task.cell].key(), &p)?;
                 }
-                let done_attempts = attempt_errors.len() as u64 + 1;
-                // Failed attempts that were retried: visible in telemetry
-                // (one shard_failed per attempt), never in the store.
-                for (attempt, err) in attempt_errors.iter().enumerate() {
+                let done_attempts = attempt_errors.len() as u32 + 1;
+                for (attempt, err) in (1..).zip(&attempt_errors) {
                     retried_attempts += 1;
-                    telemetry.emit_with(|| {
-                        Event::new("shard_failed")
-                            .str("shard", &key)
-                            .str("error", err)
-                            .u64("attempt", attempt as u64 + 1)
-                            .u64("retried", 1)
-                    });
+                    ledger.record_failure(&key, err, attempt, true)?;
                     if options.progress && !options.quiet {
                         progress.clear();
                         eprintln!(
-                            "cfed-runner: shard {key} attempt {} failed, retrying: {err}",
-                            attempt + 1
+                            "cfed-runner: shard {key} attempt {attempt} failed, retrying: {err}"
                         );
                     }
                 }
-                match outcome {
-                    ShardOutcome::Ok(tallies) => {
-                        if let Some(kind) = cells_ref[task.cell].attack {
-                            // Attack cells additionally report per-outcome
-                            // counters: the raw material of the detection
-                            // frontier, queryable live from the event plane.
-                            let sums = tallies.total_over(&Category::ALL);
-                            let skipped = tallies.skipped;
-                            telemetry.emit_with(|| {
-                                Event::new("attack_outcomes")
-                                    .str("shard", &key)
-                                    .str("attack", kind.name())
-                                    .u64("detected_check", sums.detected_check)
-                                    .u64("detected_hw", sums.detected_hw)
-                                    .u64("other_fault", sums.other_fault)
-                                    .u64("benign", sums.benign)
-                                    .u64("sdc", sums.sdc)
-                                    .u64("timeout", sums.timeout)
-                                    .u64("unplaced", skipped)
-                            });
-                        }
-                        store.append_ok(&key, *tallies)?;
-                        telemetry.emit_with(|| {
-                            Event::new("shard_done")
-                                .str("shard", &key)
-                                .u64("done", received as u64)
-                                .u64("of", to_run as u64)
-                        });
+                match run.tallies {
+                    Ok(tallies) => {
+                        ledger.record_ok(&key, *tallies)?;
                         if options.progress && !options.quiet {
                             progress.clear();
                             eprintln!("cfed-runner: [{received}/{to_run}] {key}");
                         }
                     }
-                    ShardOutcome::Failed(err) => {
+                    Err(err) => {
                         failed += 1;
-                        store.append_failed(&key, &err)?;
-                        telemetry.emit_with(|| {
-                            Event::new("shard_failed")
-                                .str("shard", &key)
-                                .str("error", &err)
-                                .u64("attempt", done_attempts)
-                        });
+                        ledger.record_failure(&key, &err, done_attempts, false)?;
                         progress.clear();
                         eprintln!(
                             "cfed-runner: shard {key} FAILED after {done_attempts} attempt(s): {err}"
@@ -805,7 +630,7 @@ pub fn run_matrix(
                 } else {
                     "forensics"
                 };
-                for bundle in forensics {
+                for bundle in run.forensics {
                     // SDC/timeout forensics carry the flight-recorder
                     // window: the recent events leading up to the anomaly.
                     // Emitted past the recorder (straight to the configured
@@ -813,7 +638,7 @@ pub fn run_matrix(
                     options.telemetry.emit_with(|| {
                         Event::new(bundle_kind)
                             .str("shard", &key)
-                            .u64("wanted", forensics_wanted)
+                            .u64("wanted", run.forensics_wanted)
                             .json("bundle", bundle)
                             .u64("flight_dropped", flight.dropped())
                             .json("window", flight.recent_json())
@@ -836,7 +661,7 @@ pub fn run_matrix(
         snapshots_enabled: options.snapshots,
         snapshots: golden_cache.snapshot_stats(),
     };
-    store.append_meta(
+    ledger.append_meta(
         "run",
         vec![
             ("run_id", Json::Str(run_id.to_string())),
@@ -846,7 +671,7 @@ pub fn run_matrix(
             ("wall_ms", Json::UInt(wall_ms)),
         ],
     )?;
-    telemetry.emit_with(|| {
+    ledger.telemetry.emit_with(|| {
         Event::new("run_done")
             .str("run_id", run_id)
             .u64("executed", to_run as u64)
@@ -857,7 +682,7 @@ pub fn run_matrix(
             .u64("flight_recorded", flight.recorded())
             .u64("flight_dropped", flight.dropped())
     });
-    telemetry.emit_with(|| {
+    ledger.telemetry.emit_with(|| {
         // No float type in the event subset: the rate rides as millitrials
         // per second (trials_per_sec × 1000).
         Event::new("campaign_perf")
@@ -876,39 +701,13 @@ pub fn run_matrix(
             .u64("benign_pruned", perf.snapshots.benign_pruned)
     });
 
-    let mut cell_results = Vec::with_capacity(cells.len());
-    for (index, cell) in cells.iter().enumerate() {
-        cell_results.push(assemble_cell(index, cell, &store));
-    }
     Ok(RunSummary {
-        cells: cell_results,
+        cells: ledger.cell_results(),
         executed_shards: to_run as u64,
         resumed_shards,
         retried_attempts,
         perf,
     })
-}
-
-/// Merges a cell's persisted shard tallies into one report, in shard-index
-/// order (any order gives identical tallies; fixed order keeps it obvious).
-fn assemble_cell(index: usize, cell: &CellSpec, store: &CampaignStore) -> CellResult {
-    let total_shards = cell.num_shards();
-    let cell_key = cell.key();
-    let failures: Vec<String> = store
-        .failed
-        .iter()
-        .filter(|(k, _)| ShardTask::split_key(k).map(|(c, _)| c) == Some(cell_key.as_str()))
-        .map(|(k, e)| format!("{k}: {e}"))
-        .collect();
-    let mut report: Option<CampaignReport> = None;
-    let mut done_shards = 0;
-    for shard_index in 0..total_shards {
-        if let Some(tallies) = store.done.get(&format!("{cell_key}#{shard_index}")) {
-            report.get_or_insert_with(CampaignReport::default).merge(tallies);
-            done_shards += 1;
-        }
-    }
-    CellResult { cell: index, key: cell_key, report, done_shards, total_shards, failures }
 }
 
 #[cfg(test)]

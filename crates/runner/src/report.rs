@@ -526,7 +526,8 @@ mod tests {
     /// A run of `matrix` in which every cell detected one category-A fault
     /// with latency 10, except cell `missing`, which has no report.
     fn summary_missing(matrix: &CampaignMatrix, missing: usize) -> RunSummary {
-        use crate::pool::{CellResult, RunPerf};
+        use crate::ledger::CellResult;
+        use crate::pool::RunPerf;
         let cells = matrix
             .cells()
             .iter()

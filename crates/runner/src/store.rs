@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{BufWriter, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use cfed_fault::{CampaignReport, CategoryStats};
@@ -243,19 +243,12 @@ impl CampaignStore {
             return Ok(CampaignStore {
                 path: Some(path.to_path_buf()),
                 writer: Some(writer),
-                done: BTreeMap::new(),
-                failed: BTreeMap::new(),
-                profiles: BTreeMap::new(),
-                resumed: false,
+                ..CampaignStore::in_memory()
             });
         }
 
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
         let Loaded { header: found, done, failed, profiles, valid_bytes } =
-            Self::load(&text, path)?;
+            Self::load(&read_text(path)?, path)?;
         if found != *header {
             return Err(format!(
                 "store {} belongs to a different campaign \
@@ -435,11 +428,10 @@ impl CampaignStore {
         all.extend(fields);
         self.append_line(&obj(all).render())
     }
+}
 
-    /// The store file path (`None` for an in-memory store).
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
-    }
+fn read_text(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
 }
 
 /// Reads a store file without an expected header: the report path. Returns
@@ -449,11 +441,7 @@ impl CampaignStore {
 pub fn read_store(
     path: &Path,
 ) -> Result<(StoreHeader, BTreeMap<String, CampaignReport>, BTreeMap<String, String>), String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let Loaded { header, done, failed, .. } = CampaignStore::load(&text, path)?;
+    let Loaded { header, done, failed, .. } = CampaignStore::load(&read_text(path)?, path)?;
     Ok((header, done, failed))
 }
 
@@ -465,11 +453,7 @@ pub fn read_store(
 ///
 /// Returns a message when the file cannot be read or a record is malformed.
 pub fn read_profiles(path: &Path) -> Result<BTreeMap<String, Profile>, String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let Loaded { profiles, .. } = CampaignStore::load(&text, path)?;
+    let Loaded { profiles, .. } = CampaignStore::load(&read_text(path)?, path)?;
     Ok(profiles)
 }
 
@@ -485,12 +469,8 @@ pub fn read_profiles(path: &Path) -> Result<BTreeMap<String, Profile>, String> {
 /// to parse (a truncated final line is tolerated, matching resume
 /// semantics).
 pub fn read_meta(path: &Path, kind: &str) -> Result<Vec<Json>, String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("reading {}: {e}", path.display()))?;
     let mut out = Vec::new();
-    for line in text.split_inclusive('\n') {
+    for line in read_text(path)?.split_inclusive('\n') {
         if !line.ends_with('\n') {
             // Half-written trailing line of a killed run: never counted,
             // same as the resume path.

@@ -64,12 +64,13 @@ use cfed_core::{run_engine, RunConfig, TechniqueKind};
 use cfed_dbt::{CheckPolicy, EngineSpec, UpdateStyle};
 use cfed_runner::cli::{Args, Parser};
 use cfed_runner::matrix::{CampaignMatrix, CellKey, WorkloadSpec};
-use cfed_runner::pool::{run_matrix, RunPerf, RunSummary, RunnerOptions};
+use cfed_runner::pool::{resolve_threads, run_matrix, RunPerf, RunSummary, RunnerOptions};
 use cfed_runner::report::{render_attack_frontier, render_coverage, render_latency, render_report};
 use cfed_runner::retry::RetryPolicy;
 use cfed_runner::store::read_meta;
 use cfed_serve::{
-    attack_phases, campaign_phases, Coordinator, CoordinatorOptions, ServeStats, WorkerOptions,
+    attack_phases, campaign_phases, Coordinator, CoordinatorOptions, PhasePlan, ServeStats,
+    WorkerOptions,
 };
 use cfed_sim::Machine;
 use cfed_telemetry::json::{obj, Json};
@@ -82,7 +83,7 @@ fn main() {
         Some("report") => run_report(&argv[1..]),
         Some("profile") => run_profile(&argv[1..]),
         Some("bench") => run_bench(&argv[1..]),
-        Some("attack") => run_attacks(&argv[1..]),
+        Some("attack") => run_study(&argv[1..], &ATTACK),
         Some("serve") => match argv.get(1).map(String::as_str) {
             Some("coordinate") => run_coordinate(&argv[2..]),
             Some("work") => run_work(&argv[2..]),
@@ -100,7 +101,7 @@ fn main() {
                 format!("unknown serve subcommand {other:?} (expected coordinate or work)"),
             ),
         },
-        _ => run_campaign(&argv),
+        _ => run_study(&argv, &CAMPAIGN),
     }
 }
 
@@ -337,71 +338,133 @@ fn retry_policy_for(args: &Args, prefix: &str) -> RetryPolicy {
     }
 }
 
-fn run_campaign(argv: &[String]) {
-    let args = Parser::new("cfed-campaign", "full coverage + latency fault-injection study")
-        .flag("trials", "N", "500", "injections per workload per configuration")
+/// An in-process study subcommand. [`run_study`] gives every one the same
+/// flags, runner options, phase loop, stderr lines and exit codes; a study
+/// only picks its help texts and, through `attacks`, its phases, default
+/// run id, profiling default and renderer.
+struct Study {
+    /// Parser name, also the prefix of every message.
+    name: &'static str,
+    about: &'static str,
+    /// `--trials` default and help.
+    trials: (&'static str, &'static str),
+    out_help: &'static str,
+    forensics_help: &'static str,
+    no_snapshots_help: &'static str,
+    /// The attack study (`--workloads`, no profiles, the detection
+    /// frontier, run ids `attack-…`) rather than coverage + latency
+    /// (`--no-profile`, the coverage and latency tables, `campaign-…`).
+    attacks: bool,
+}
+
+const CAMPAIGN: Study = Study {
+    name: "cfed-campaign",
+    about: "full coverage + latency fault-injection study",
+    trials: ("500", "injections per workload per configuration"),
+    out_help: "directory for the JSONL result stores",
+    forensics_help:
+        "re-inject SDC/timeout/misdetection trials and emit forensics events (use with --events)",
+    no_snapshots_help:
+        "disable fast-forward snapshots; every trial replays its fault-free prefix from scratch",
+    attacks: false,
+};
+
+const ATTACK: Study = Study {
+    name: "cfed-campaign attack",
+    about: "adversarial campaign: every attack archetype vs baseline + five techniques",
+    trials: ("300", "attacks per workload per archetype per configuration"),
+    out_help: "directory for the JSONL result store",
+    forensics_help: "re-mount SDC/timeout attacks with a tracer and emit attack_forensics events \
+                     (use with --events)",
+    no_snapshots_help:
+        "disable fast-forward snapshots; every trial replays its attack-free prefix from scratch",
+    attacks: true,
+};
+
+const RUN_ID_HELP: &str = "run identifier; re-use to resume (default: derived from seed/trials)";
+
+/// `--run-id`, or the default `{stem}-s{seed}-t{trials}`.
+fn run_id_arg(args: &Args, stem: &str, seed: u64, trials: u64) -> String {
+    match args.get("run-id").filter(|s| !s.is_empty()) {
+        Some(id) => id.to_string(),
+        None => format!("{stem}-s{seed}-t{trials}"),
+    }
+}
+
+/// The exact phase list both execution modes run for a study, so stores
+/// (and their reports) are interchangeable between them.
+fn study_phases(
+    attacks: bool,
+    args: &Args,
+    trials: u64,
+    seed: u64,
+    out: &Path,
+    run_id: &str,
+) -> Vec<PhasePlan> {
+    if attacks {
+        attack_phases(&workloads_arg(args), trials, seed, out, run_id)
+    } else {
+        campaign_phases(trials, seed, out, run_id)
+    }
+}
+
+fn run_study(argv: &[String], study: &Study) {
+    let prefix = study.name;
+    let mut parser = Parser::new(prefix, study.about)
+        .flag("trials", "N", study.trials.0, study.trials.1)
         .flag("threads", "N", "0", "worker threads (0 = all cores)")
         .flag("seed", "SEED", "3488423942", "campaign RNG seed")
-        .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
-        .flag(
-            "run-id",
-            "ID",
+        .flag("out", "DIR", "results/campaigns", study.out_help)
+        .flag("run-id", "ID", "", RUN_ID_HELP);
+    if study.attacks {
+        parser = parser.flag(
+            "workloads",
+            "NAMES",
             "",
-            "run identifier; re-use to resume (default: derived from seed/trials)",
-        )
+            "comma-separated campaign workload names (default: all six)",
+        );
+    }
+    parser = parser
         .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
         .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
         .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
         .switch("progress", "print per-shard progress to stderr")
         .switch("quiet", "suppress stderr progress output")
-        .switch(
-            "forensics",
-            "re-inject SDC/timeout/misdetection trials and emit forensics events (use with --events)",
-        )
-        .switch(
-            "no-snapshots",
-            "disable fast-forward snapshots; every trial replays its fault-free prefix from scratch",
-        )
-        .switch(
+        .switch("forensics", study.forensics_help)
+        .switch("no-snapshots", study.no_snapshots_help);
+    if !study.attacks {
+        parser = parser.switch(
             "no-profile",
             "skip per-cell execution profiling (profiles feed `cfed-campaign profile`)",
-        )
-        .parse_from(argv);
-    let prefix = "cfed-campaign";
+        );
+    }
+    let args = parser.parse_from(argv);
     let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
     let threads = args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e));
     let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("campaign-s{seed}-t{trials}"),
-    };
+    let run_id = run_id_arg(&args, if study.attacks { "attack" } else { "campaign" }, seed, trials);
     let quiet = args.has("quiet");
-    let telemetry = telemetry_for(&args, prefix);
     let options = RunnerOptions {
         threads,
         max_shards: None,
         progress: args.has("progress"),
         quiet,
-        telemetry,
+        telemetry: telemetry_for(&args, prefix),
         forensics: args.has("forensics"),
         snapshots: !args.has("no-snapshots"),
-        profile: !args.has("no-profile"),
+        profile: !study.attacks && !args.has("no-profile"),
         retry: retry_policy_for(&args, prefix),
     };
 
-    // The exact phase list `serve coordinate` uses, so stores (and their
-    // reports) are interchangeable between the two execution modes.
-    let phases = campaign_phases(trials, seed, &out, &run_id);
-    let coverage = &phases[0];
-    let latency = &phases[1];
-
+    let phases = study_phases(study.attacks, &args, trials, seed, &out, &run_id);
     let mut runs = Vec::with_capacity(phases.len());
     for plan in &phases {
         if !quiet {
+            let label =
+                if study.attacks { String::new() } else { format!(" {} matrix —", plan.label) };
             eprintln!(
-                "cfed-campaign: {} matrix — {} cells, {} shards, store {}",
-                plan.label,
+                "{prefix}:{label} {} cells, {} shards, store {}",
                 plan.matrix.cells().len(),
                 CampaignMatrix::shards(&plan.matrix.cells()).len(),
                 plan.store.display()
@@ -410,30 +473,35 @@ fn run_campaign(argv: &[String]) {
         let run = run_matrix(&plan.matrix, &run_id, Some(&plan.store), &options)
             .unwrap_or_else(|e| fatal(prefix, e));
         if !quiet {
-            report_progress(&run);
+            eprintln!(
+                "cfed-campaign: executed {} shards, resumed {} from checkpoints",
+                run.executed_shards, run.resumed_shards
+            );
         }
         runs.push(run);
     }
-    let (coverage_run, latency_run) = (&runs[0], &runs[1]);
 
-    for style in [UpdateStyle::CMov, UpdateStyle::Jcc] {
-        println!("=== Coverage, {style} update style ({trials} trials/workload/config) ===");
-        let matrix = &coverage.matrix;
-        print!("{}", render_coverage(matrix, coverage_run, style, &matrix.techniques));
-        println!();
+    if study.attacks {
+        print!("{}", render_attack_frontier(&phases[0].store).unwrap_or_else(|e| fatal(prefix, e)));
+    } else {
+        let (coverage, latency) = (&phases[0].matrix, &phases[1].matrix);
+        for style in [UpdateStyle::CMov, UpdateStyle::Jcc] {
+            println!("=== Coverage, {style} update style ({trials} trials/workload/config) ===");
+            print!("{}", render_coverage(coverage, &runs[0], style, &coverage.techniques));
+            println!();
+        }
+        println!("=== Detection latency by checking policy (EdgCF, CMOVcc) ===");
+        print!("{}", render_latency(latency, &runs[1]));
     }
-    println!("=== Detection latency by checking policy (EdgCF, CMOVcc) ===");
-    print!("{}", render_latency(&latency.matrix, latency_run));
-
     if !quiet {
+        let full = if study.attacks { "" } else { "full " };
         eprintln!(
-            "cfed-campaign: full per-cell tables: cfed-campaign report --store {}",
-            coverage.store.display()
+            "{prefix}: {full}per-cell tables: cfed-campaign report --store {}",
+            phases[0].store.display()
         );
     }
-
-    if !coverage_run.complete() || !latency_run.complete() {
-        eprintln!("cfed-campaign: some shards failed; re-run with the same --run-id to retry them");
+    if !runs.iter().all(RunSummary::complete) {
+        eprintln!("{prefix}: some shards failed; re-run with the same --run-id to retry them");
         std::process::exit(1);
     }
 }
@@ -445,100 +513,6 @@ fn workloads_arg(args: &Args) -> Vec<String> {
         .unwrap_or_default()
 }
 
-fn run_attacks(argv: &[String]) {
-    let args = Parser::new(
-        "cfed-campaign attack",
-        "adversarial campaign: every attack archetype vs baseline + five techniques",
-    )
-    .flag("trials", "N", "300", "attacks per workload per archetype per configuration")
-    .flag("threads", "N", "0", "worker threads (0 = all cores)")
-    .flag("seed", "SEED", "3488423942", "campaign RNG seed")
-    .flag("out", "DIR", "results/campaigns", "directory for the JSONL result store")
-    .flag(
-        "run-id",
-        "ID",
-        "",
-        "run identifier; re-use to resume (default: derived from seed/trials)",
-    )
-    .flag(
-        "workloads",
-        "NAMES",
-        "",
-        "comma-separated campaign workload names (default: all six)",
-    )
-    .flag("events", "PATH", "", "write structured telemetry events (JSONL) to PATH")
-    .flag("retries", "N", "3", "attempts per failed shard before recording it failed")
-    .flag("backoff-ms", "MS", "25", "base backoff between shard retry attempts")
-    .switch("progress", "print per-shard progress to stderr")
-    .switch("quiet", "suppress stderr progress output")
-    .switch(
-        "forensics",
-        "re-mount SDC/timeout attacks with a tracer and emit attack_forensics events (use with --events)",
-    )
-    .switch(
-        "no-snapshots",
-        "disable fast-forward snapshots; every trial replays its attack-free prefix from scratch",
-    )
-    .parse_from(argv);
-    let prefix = "cfed-campaign attack";
-    let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
-    let threads = args.get_usize("threads").unwrap_or_else(|e| fatal(prefix, e));
-    let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
-    let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("attack-s{seed}-t{trials}"),
-    };
-    let workloads = workloads_arg(&args);
-    let quiet = args.has("quiet");
-    let options = RunnerOptions {
-        threads,
-        max_shards: None,
-        progress: args.has("progress"),
-        quiet,
-        telemetry: telemetry_for(&args, prefix),
-        forensics: args.has("forensics"),
-        snapshots: !args.has("no-snapshots"),
-        profile: false,
-        retry: retry_policy_for(&args, prefix),
-    };
-
-    // The exact phase `serve coordinate --attacks` uses, so stores (and the
-    // frontier rendered from them) are interchangeable between modes.
-    let phases = attack_phases(&workloads, trials, seed, &out, &run_id);
-    let plan = &phases[0];
-    if !quiet {
-        eprintln!(
-            "cfed-campaign attack: {} cells, {} shards, store {}",
-            plan.matrix.cells().len(),
-            CampaignMatrix::shards(&plan.matrix.cells()).len(),
-            plan.store.display()
-        );
-    }
-    let run = run_matrix(&plan.matrix, &run_id, Some(&plan.store), &options)
-        .unwrap_or_else(|e| fatal(prefix, e));
-    if !quiet {
-        report_progress(&run);
-    }
-
-    match render_attack_frontier(&plan.store) {
-        Ok(text) => print!("{text}"),
-        Err(e) => fatal(prefix, e),
-    }
-    if !quiet {
-        eprintln!(
-            "cfed-campaign attack: per-cell tables: cfed-campaign report --store {}",
-            plan.store.display()
-        );
-    }
-    if !run.complete() {
-        eprintln!(
-            "cfed-campaign attack: some shards failed; re-run with the same --run-id to retry them"
-        );
-        std::process::exit(1);
-    }
-}
-
 fn run_coordinate(argv: &[String]) {
     let args = Parser::new(
         "cfed-campaign serve coordinate",
@@ -547,12 +521,7 @@ fn run_coordinate(argv: &[String]) {
     .flag("trials", "N", "500", "injections per workload per configuration")
     .flag("seed", "SEED", "3488423942", "campaign RNG seed")
     .flag("out", "DIR", "results/campaigns", "directory for the JSONL result stores")
-    .flag(
-        "run-id",
-        "ID",
-        "",
-        "run identifier; re-use to resume (default: derived from seed/trials)",
-    )
+    .flag("run-id", "ID", "", RUN_ID_HELP)
     .flag(
         "listen",
         "ADDR",
@@ -579,10 +548,7 @@ fn run_coordinate(argv: &[String]) {
     let trials = args.get_u64("trials").unwrap_or_else(|e| fatal(prefix, e));
     let seed = args.get_u64("seed").unwrap_or_else(|e| fatal(prefix, e));
     let out = PathBuf::from(args.get("out").expect("has default"));
-    let run_id = match args.get("run-id").filter(|s| !s.is_empty()) {
-        Some(id) => id.to_string(),
-        None => format!("campaign-s{seed}-t{trials}"),
-    };
+    let run_id = run_id_arg(&args, "campaign", seed, trials);
     let lease_ms = args.get_u64("lease-ms").unwrap_or_else(|e| fatal(prefix, e));
     let max_inflight = args.get_usize("max-inflight").unwrap_or_else(|e| fatal(prefix, e));
     if max_inflight == 0 {
@@ -616,11 +582,7 @@ fn run_coordinate(argv: &[String]) {
     }
 
     let stop = install_sigint();
-    let phases = if args.has("attacks") {
-        attack_phases(&workloads_arg(&args), trials, seed, &out, &run_id)
-    } else {
-        campaign_phases(trials, seed, &out, &run_id)
-    };
+    let phases = study_phases(args.has("attacks"), &args, trials, seed, &out, &run_id);
     let summary =
         coordinator.run(&run_id, &phases, Some(stop)).unwrap_or_else(|e| fatal(prefix, e));
 
@@ -1335,11 +1297,11 @@ fn run_bench(argv: &[String]) {
         },
     ];
 
-    // Same source and fallback as `resolved_threads`, so the recorded pair
+    // Same source and fallback as `resolve_threads`, so the recorded pair
     // is always consistent (`threads_resolved <= cpus`); the old record
     // could claim 2 resolved workers on a 1-CPU host.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let resolved = RunnerOptions { threads, ..Default::default() }.resolved_threads();
+    let resolved = resolve_threads(threads);
     let mut record = vec![
         ("schema", Json::Str("cfed-bench-campaign-v2".to_string())),
         (
@@ -1473,11 +1435,4 @@ struct Gate {
     /// Whether a committed baseline's `key` floors the measurement at
     /// [`BASELINE_TOLERANCE_PCT`] below it.
     baseline: bool,
-}
-
-fn report_progress(run: &RunSummary) {
-    eprintln!(
-        "cfed-campaign: executed {} shards, resumed {} from checkpoints",
-        run.executed_shards, run.resumed_shards
-    );
 }

@@ -18,11 +18,13 @@
 //!    └── attempts < max? re-queue after backoff : failed (appended)
 //! ```
 //!
-//! Every failed or expired attempt emits the same `shard_failed`
-//! telemetry event the in-process pool emits, with `retried:1` while the
-//! retry budget lasts. A worker that accumulates [`MAX_STRIKES`] expired
-//! leases is quarantined: its connection stays open (late results are
-//! still accepted) but it is never leased to again.
+//! Results, failed or expired attempts and cell profiles are recorded
+//! through the same [`Ledger`] the in-process pool records through, so the
+//! stores and the `shard_done` / `shard_failed` (`retried:1` while the
+//! retry budget lasts) / `profile` / `attack_outcomes` events are the same
+//! in both modes. A worker that accumulates [`MAX_STRIKES`] expired leases
+//! is quarantined: its connection stays open (late results are still
+//! accepted) but it is never leased to again.
 //!
 //! ## Backpressure
 //!
@@ -41,11 +43,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use cfed_runner::matrix::{CampaignMatrix, CellSpec, ShardTask};
+use cfed_runner::ledger::Ledger;
+use cfed_runner::matrix::{CampaignMatrix, ShardTask};
 use cfed_runner::retry::RetryPolicy;
-use cfed_runner::store::{shard_from_json, CampaignStore, StoreHeader};
+use cfed_runner::store::shard_from_json;
 use cfed_telemetry::json::{obj, Json};
-use cfed_telemetry::{Event, EventSink, FlightRecorder, Profile, Telemetry};
+use cfed_telemetry::{Event, FlightRecorder, Profile, Telemetry};
 
 use crate::http::LiveView;
 use crate::proto::{matrix_to_json, read_frame, tag, write_frame};
@@ -54,12 +57,6 @@ use crate::stats::ServeStats;
 /// Expired leases a worker may accumulate before the coordinator stops
 /// leasing to it (its connection stays open for late results).
 pub const MAX_STRIKES: u32 = 2;
-
-/// Flight-recorder window: the scheduler's telemetry is teed through a
-/// bounded ring of this many recent events, dumped (as a `flight_dump`
-/// event straight to the configured sink, bypassing the ring so windows
-/// never nest) on SIGINT drain, worker loss mid-unit, and quarantine.
-const FLIGHT_WINDOW: usize = 64;
 
 /// One phase of a campaign: a matrix persisted to its own store file.
 #[derive(Debug, Clone)]
@@ -90,8 +87,10 @@ pub struct CoordinatorOptions {
     pub max_inflight: usize,
     /// Suppress stderr progress output.
     pub quiet: bool,
-    /// Structured-event handle; receives `shard_done`, `shard_failed`,
-    /// `serve_stats`, and forwarded worker events (as `worker_event`).
+    /// Structured-event handle; receives the [`Ledger`]'s shard events
+    /// (`attack_outcomes`, `shard_done`, `shard_failed`, `profile`),
+    /// `serve_stats`, forwarded worker events (as `worker_event`), and the
+    /// `flight_dump`s of SIGINT drain, worker loss and quarantine.
     pub telemetry: Telemetry,
 }
 
@@ -188,8 +187,7 @@ struct WorkerConn {
 }
 
 struct Unit {
-    cell: usize,
-    shard: u64,
+    task: ShardTask,
     key: String,
     /// Not leased before this instant (retry backoff).
     ready_at: Instant,
@@ -281,13 +279,6 @@ impl Coordinator {
             Arc::clone(&self.shutdown),
         );
 
-        // Always-on flight recorder: tee in front of the configured sink
-        // (or stand alone when telemetry is off) so anomaly paths can dump
-        // the recent-event window without changing what downstream sees.
-        let flight = Arc::new(match self.options.telemetry.sink() {
-            Some(inner) => FlightRecorder::tee(FLIGHT_WINDOW, inner),
-            None => FlightRecorder::new(FLIGHT_WINDOW),
-        });
         let mut state = SchedulerState {
             workers: HashMap::new(),
             run_id: run_id.to_string(),
@@ -295,8 +286,7 @@ impl Coordinator {
             live: Arc::clone(&self.live),
             stats_total: ServeStats::default(),
             stopped: false,
-            telemetry: Telemetry::to(Arc::clone(&flight) as Arc<dyn EventSink>),
-            flight,
+            flight: Ledger::recorder(&self.options.telemetry),
         };
         let stop_flag = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
 
@@ -384,24 +374,23 @@ struct SchedulerState {
     live: Arc<LiveView>,
     stats_total: ServeStats,
     stopped: bool,
-    /// Scheduler events routed through the flight-recorder tee.
-    telemetry: Telemetry,
+    /// One flight recorder across every phase's ledger, dumped (straight to
+    /// the configured sink, so windows never nest) on SIGINT drain, worker
+    /// loss mid-unit, and quarantine.
     flight: Arc<FlightRecorder>,
 }
 
 /// Everything one phase needs while its scheduler loop runs.
 struct PhaseRun {
     index: usize,
-    cells: Vec<CellSpec>,
     /// The `phase` frame announced to present and future workers.
     announce: Json,
-    store: CampaignStore,
+    ledger: Ledger,
     pending: VecDeque<Unit>,
     leases: HashMap<String, Lease>,
     attempts: HashMap<String, u32>,
     /// Units not yet resolved (done or permanently failed) this phase.
     remaining: u64,
-    total: u64,
     stats: ServeStats,
 }
 
@@ -413,41 +402,28 @@ impl SchedulerState {
         rx: &Receiver<CoordMsg>,
         stop: &AtomicBool,
     ) -> Result<PhaseSummary, String> {
-        let cells = plan.matrix.cells();
-        let all_units = CampaignMatrix::shards(&cells);
-        let header = StoreHeader {
-            run_id: self.run_id.clone(),
-            seed: plan.matrix.seed,
-            trials: plan.matrix.trials,
-            shard_trials: CampaignMatrix::shard_trials(),
-            digest: CampaignMatrix::digest(&cells),
-            total_shards: all_units.len() as u64,
-        };
-        let store = CampaignStore::open(&plan.store, &header)?;
-        let pending: VecDeque<Unit> = all_units
-            .iter()
-            .filter_map(|t| {
-                let key = t.key(&cells);
-                if store.done.contains_key(&key) {
-                    return None;
-                }
-                Some(Unit { cell: t.cell, shard: t.shard_index, key, ready_at: Instant::now() })
-            })
+        let ledger =
+            Ledger::open(&self.run_id, &plan.matrix, Some(&plan.store), Arc::clone(&self.flight))?;
+        let pending: VecDeque<Unit> = ledger
+            .pending()
+            .into_iter()
+            .map(|(task, key)| Unit { task, key, ready_at: Instant::now() })
             .collect();
-        let resumed_units = all_units.len() as u64 - pending.len() as u64;
+        let total = ledger.header.total_shards;
+        let resumed_units = total - pending.len() as u64;
         let remaining = pending.len() as u64;
         self.live.begin_phase(
             &self.run_id,
             &plan.label,
-            header,
-            store.done.clone(),
-            store.failed.clone(),
+            ledger.header.clone(),
+            ledger.store().done.clone(),
+            ledger.store().failed.clone(),
         );
         if !self.options.quiet {
             eprintln!(
                 "cfed-serve: phase {} — {} units ({} resumed), store {}",
                 plan.label,
-                all_units.len(),
+                total,
                 resumed_units,
                 plan.store.display()
             );
@@ -455,19 +431,17 @@ impl SchedulerState {
 
         let mut phase = PhaseRun {
             index,
-            cells,
             announce: obj(vec![
                 ("t", Json::Str("phase".to_string())),
                 ("phase", Json::UInt(index as u64)),
                 ("label", Json::Str(plan.label.clone())),
                 ("matrix", matrix_to_json(&plan.matrix)),
             ]),
-            store,
+            ledger,
             pending,
             leases: HashMap::new(),
             attempts: HashMap::new(),
             remaining,
-            total: all_units.len() as u64,
             stats: ServeStats::default(),
         };
 
@@ -519,26 +493,26 @@ impl SchedulerState {
         // Phase accounting: persist the service counters as a meta record
         // (invisible to the report) and emit the serve_stats event.
         let stats = phase.stats.clone();
-        phase.store.append_meta("serve_stats", stats.to_meta_fields())?;
-        self.telemetry.emit_with(|| stats.to_event());
+        phase.ledger.append_meta("serve_stats", stats.to_meta_fields())?;
+        phase.ledger.telemetry.emit_with(|| stats.to_event());
         self.stats_total.absorb(&stats);
         self.live.set_stats(self.stats_total.clone());
-        let done_units = phase.store.done.len() as u64;
-        let failed_units = phase.store.failed.len() as u64;
+        let done_units = phase.ledger.store().done.len() as u64;
+        let failed_units = phase.ledger.store().failed.len() as u64;
         if !self.options.quiet {
             eprintln!(
                 "cfed-serve: phase {} {} — {}/{} units done ({} failed, {} retried attempt(s))",
                 plan.label,
                 if self.stopped { "checkpointed" } else { "complete" },
                 done_units,
-                phase.total,
+                total,
                 failed_units,
                 stats.retried,
             );
         }
         Ok(PhaseSummary {
             label: plan.label.clone(),
-            total_units: phase.total,
+            total_units: total,
             done_units,
             failed_units,
             resumed_units,
@@ -572,8 +546,8 @@ impl SchedulerState {
             let lease = obj(vec![
                 ("t", Json::Str("lease".to_string())),
                 ("phase", Json::UInt(phase.index as u64)),
-                ("cell", Json::UInt(unit.cell as u64)),
-                ("shard", Json::UInt(unit.shard)),
+                ("cell", Json::UInt(unit.task.cell as u64)),
+                ("shard", Json::UInt(unit.task.shard_index)),
                 ("key", Json::Str(unit.key.clone())),
             ]);
             if worker.writer.send(&lease).is_err() {
@@ -669,7 +643,7 @@ impl SchedulerState {
                 let worker = self.workers.get(&conn).map_or("?", |w| w.name.as_str()).to_string();
                 let payload = frame.get("ev").cloned().unwrap_or(Json::Null);
                 self.live.record_event(&worker, payload.clone());
-                self.telemetry.emit_with(|| {
+                phase.ledger.telemetry.emit_with(|| {
                     Event::new("worker_event").str("worker", &worker).json("event", payload)
                 });
                 Ok(())
@@ -680,23 +654,14 @@ impl SchedulerState {
                 // duplicates from other workers (profiles are deterministic
                 // functions of the cell) change nothing.
                 let cell = frame.get("cell").and_then(Json::as_str).unwrap_or("").to_string();
-                if !phase.cells.iter().any(|c| c.key() == cell) {
+                if !phase.ledger.cells.iter().any(|c| c.key() == cell) {
                     return Ok(()); // unknown cell: stale or corrupt frame
                 }
                 let Some(payload) = frame.get("profile") else { return Ok(()) };
                 match Profile::from_json(payload) {
                     Ok(profile) => {
-                        if phase.store.append_profile(&cell, &profile)? {
+                        if phase.ledger.record_profile(&cell, &profile)? {
                             self.live.record_profile(&profile.totals());
-                            self.telemetry.emit_with(|| {
-                                let t = profile.totals();
-                                Event::new("profile")
-                                    .str("cell", &cell)
-                                    .u64("blocks", profile.num_blocks() as u64)
-                                    .u64("payload_cycles", t.payload)
-                                    .u64("instr_cycles", t.instr())
-                                    .u64("other_cycles", t.other)
-                            });
                         }
                         Ok(())
                     }
@@ -737,7 +702,7 @@ impl SchedulerState {
                 worker.dropped_seen = dropped;
             }
         }
-        if frame_phase != Some(phase.index as u64) || phase.store.done.contains_key(&key) {
+        if frame_phase != Some(phase.index as u64) || phase.ledger.store().done.contains_key(&key) {
             // Late delivery from a previous phase, or a duplicate of a unit
             // another worker already completed: idempotent drop.
             phase.stats.duplicates += 1;
@@ -764,16 +729,11 @@ impl SchedulerState {
                 return self.retry_or_fail(phase, &key, &format!("malformed result: {e}"));
             }
         };
-        phase.store.append_ok(&key, tallies.clone())?;
+        phase.ledger.record_ok(&key, tallies.clone())?;
         phase.remaining -= 1;
         let worker_name = self.workers.get(&conn).map_or("?", |w| w.name.as_str()).to_string();
         phase.stats.record_unit(&worker_name, ms);
         self.live.record_done(&key, tallies);
-        let done = phase.store.done.len() as u64;
-        let total = phase.total;
-        self.telemetry.emit_with(|| {
-            Event::new("shard_done").str("shard", &key).u64("done", done).u64("of", total)
-        });
         Ok(())
     }
 
@@ -789,38 +749,25 @@ impl SchedulerState {
         let slot = phase.attempts.entry(key.to_string()).or_insert(0);
         *slot += 1;
         let attempts = *slot;
-        let Some((cell, shard)) = phase_unit(phase, key) else {
+        let Some(task) = phase.ledger.task(key) else {
             return Ok(()); // unknown key: nothing to re-queue
         };
-        if self.options.retry.allows(attempts) {
+        let retrying = self.options.retry.allows(attempts);
+        phase.ledger.record_failure(key, error, attempts, retrying)?;
+        if retrying {
             phase.stats.retried += 1;
-            self.telemetry.emit_with(|| {
-                Event::new("shard_failed")
-                    .str("shard", key)
-                    .str("error", error)
-                    .u64("attempt", u64::from(attempts))
-                    .u64("retried", 1)
-            });
             if !self.options.quiet {
                 eprintln!("cfed-serve: unit {key} attempt {attempts} failed, retrying: {error}");
             }
             phase.pending.push_back(Unit {
-                cell,
-                shard,
+                task,
                 key: key.to_string(),
                 ready_at: Instant::now() + self.options.retry.backoff(attempts),
             });
         } else {
             phase.stats.failed += 1;
-            phase.store.append_failed(key, error)?;
             phase.remaining -= 1;
             self.live.record_failed(key, error);
-            self.telemetry.emit_with(|| {
-                Event::new("shard_failed")
-                    .str("shard", key)
-                    .str("error", error)
-                    .u64("attempt", u64::from(attempts))
-            });
             eprintln!("cfed-serve: unit {key} FAILED after {attempts} attempt(s): {error}");
         }
         Ok(())
@@ -902,11 +849,4 @@ impl SchedulerState {
             .collect();
         self.live.set_inflight(inflight);
     }
-}
-
-/// Looks up a unit's `(cell, shard)` from its key via the phase cell list.
-fn phase_unit(phase: &PhaseRun, key: &str) -> Option<(usize, u64)> {
-    let (cell_key, shard) = ShardTask::split_key(key)?;
-    let cell = phase.cells.iter().position(|c| c.key() == cell_key)?;
-    Some((cell, shard))
 }

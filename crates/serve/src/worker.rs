@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cfed_runner::matrix::{CellSpec, ShardTask};
-use cfed_runner::pool::{GoldenCache, UnitExecutor};
+use cfed_runner::pool::{resolve_threads, GoldenCache, UnitExecutor};
 use cfed_runner::store::shard_to_json;
 use cfed_telemetry::json::{obj, Json};
 use cfed_telemetry::{ChannelSink, Event, EventSink, Profile};
@@ -134,22 +134,12 @@ pub fn work(
     serve_connection(stream, options, stop)
 }
 
-// Same capping rule as `RunnerOptions::resolved_threads`: an explicit
-// request never resolves above the host's available parallelism.
-fn resolved_threads(options: &WorkerOptions) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if options.threads > 0 {
-        return options.threads.min(cores);
-    }
-    cores
-}
-
 fn serve_connection(
     stream: TcpStream,
     options: &WorkerOptions,
     stop: Option<Arc<AtomicBool>>,
 ) -> Result<WorkerSummary, String> {
-    let threads = resolved_threads(options);
+    let threads = resolve_threads(options.threads);
     let stop = stop.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
     let (msg_tx, msg_rx) = mpsc::channel::<WorkerMsg>();
 
