@@ -82,6 +82,16 @@ impl From<ExitReason> for DbtExit {
     }
 }
 
+/// Where [`Dbt::run_until`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DbtStop {
+    /// The run ended: halt, surfaced trap, or the instruction limit.
+    Exit(DbtExit),
+    /// The next instruction is a control transfer and the CPU has retired
+    /// as many of them as the ceiling allows; nothing of it has executed.
+    BranchCeiling,
+}
+
 /// Execution statistics for a DBT session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbtStats {
@@ -552,31 +562,50 @@ impl Dbt {
     }
 
     /// Runs under supervision until halt, surfaced trap, or `max_insts`
-    /// retired guest+instrumentation instructions.
+    /// retired guest+instrumentation instructions: [`Dbt::run_until`] with
+    /// no branch ceiling, then [`Dbt::emit_stats`].
+    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> DbtExit {
+        let limit = m.cpu.stats().insts.saturating_add(max_insts);
+        let stop = self.run_until(m, limit, u64::MAX);
+        self.emit_stats();
+        match stop {
+            DbtStop::Exit(exit) => exit,
+            DbtStop::BranchCeiling => unreachable!("no branch ceiling was set"),
+        }
+    }
+
+    /// Runs under supervision until halt, surfaced trap, the CPU's retired
+    /// instruction count reaching `insts_limit`, or the branch ceiling: the
+    /// next instruction is a control transfer and the CPU has already
+    /// retired `branch_ceiling` of them (`u64::MAX` for none). Both limits
+    /// are absolute [`cfed_sim::ExecStats`] counts; the instruction limit
+    /// is checked first.
     ///
     /// When the machine has a decode cache and no tracer attached, execution
     /// proceeds in block-fused bursts ([`Machine::run_burst`]): translated
     /// code re-validates its decoded page once on block entry and then runs
     /// straight-line without per-instruction cache lookups, falling back to
-    /// this engine only at traps (runtime exits, SMC faults). Architectural
-    /// results are bit-identical to the per-step path.
-    pub fn run(&mut self, m: &mut Machine, max_insts: u64) -> DbtExit {
-        let start = m.cpu.stats().insts;
+    /// this engine only at traps (runtime exits, SMC faults) and at the
+    /// ceiling. Otherwise it steps through [`Dbt::step`], the reference the
+    /// fused path is bit-identical to — stops included.
+    pub fn run_until(&mut self, m: &mut Machine, insts_limit: u64, branch_ceiling: u64) -> DbtStop {
         let fused = m.tracer.is_none() && m.has_decode_cache();
         loop {
-            let used = m.cpu.stats().insts - start;
-            if used >= max_insts {
-                self.emit_stats();
-                return DbtExit::StepLimit;
+            let stats = m.cpu.stats();
+            if stats.insts >= insts_limit {
+                return DbtStop::Exit(DbtExit::StepLimit);
+            }
+            // Attach before peeking, so the ceiling sees translated code.
+            if !self.attached {
+                if let Err(t) = self.attach(m) {
+                    return DbtStop::Exit(DbtExit::Trapped(t));
+                }
+            }
+            if stats.branches >= branch_ceiling && m.peek_inst().is_ok_and(|i| i.is_branch()) {
+                return DbtStop::BranchCeiling;
             }
             let step = if fused {
-                if !self.attached {
-                    if let Err(t) = self.attach(m) {
-                        self.emit_stats();
-                        return DbtExit::Trapped(t);
-                    }
-                }
-                match m.run_burst(max_insts - used) {
+                match m.run_burst(insts_limit - stats.insts, branch_ceiling) {
                     Ok(cfed_sim::Step::Continue) => DbtStep::Continue,
                     Ok(cfed_sim::Step::Halt) => DbtStep::Halted,
                     Err(trap) => self.handle_trap(m, trap),
@@ -587,13 +616,9 @@ impl Dbt {
             match step {
                 DbtStep::Continue => {}
                 DbtStep::Halted => {
-                    self.emit_stats();
-                    return DbtExit::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) };
+                    return DbtStop::Exit(DbtExit::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) })
                 }
-                DbtStep::Exit(t) => {
-                    self.emit_stats();
-                    return DbtExit::Trapped(t);
-                }
+                DbtStep::Exit(t) => return DbtStop::Exit(DbtExit::Trapped(t)),
             }
         }
     }

@@ -43,7 +43,7 @@ pub mod trace;
 pub mod x86;
 
 pub use cache::CacheAsm;
-pub use engine::{Dbt, DbtExit, DbtStats, DbtStep, TransBlock, DEFAULT_DISPATCH_CYCLES};
+pub use engine::{Dbt, DbtExit, DbtStats, DbtStep, DbtStop, TransBlock, DEFAULT_DISPATCH_CYCLES};
 pub use instrument::{regs, BlockView, CheckPolicy, Instrumenter, NullInstrumenter, UpdateStyle};
 pub use ir::{SideBranch, TraceOp, TracePlan, TraceSig, TraceVerifier};
 pub use native::NativeDbt;

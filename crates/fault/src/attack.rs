@@ -621,6 +621,7 @@ impl AttackModel {
                     None => surface.unplaceable[kind.idx()] += 1,
                 }
             }
+            Some(index + 1)
         })?;
         surface.branches = golden.branches;
         Ok(surface)

@@ -8,6 +8,16 @@
 //! inside the code cache, then observe the outcome. Faults strike the
 //! *translated* code, so the instrumentation's own inserted branches are
 //! fault sites too — exactly the surface RCF exists to protect (§3.2).
+//!
+//! Every run here — the golden run, the trial prefix to the strike branch
+//! and the suffix to an outcome — is one [`Dbt::run_until`] loop on the
+//! block-fused DBT. A dynamic branch's index is the number of branches the
+//! CPU has retired before it (`ExecStats.branches`), and the loop's branch
+//! ceiling stops just before branch `n` executes: where a trial strikes,
+//! where a checkpoint is captured, and where the suffix compares against
+//! the next checkpoint for pruning. Traced trials, and the
+//! [`EngineSpec::DbtStep`] reference of [`run_trial_on`], step one
+//! instruction at a time inside the same loop.
 
 use crate::attack::{attack_now, AttackProvenance, AttackSpec};
 use crate::snapshot::SnapshotSet;
@@ -16,7 +26,7 @@ use cfed_core::{
     classify_addr_fault, classify_flag_fault, BlockLayout, BranchFault, CacheLayout, Category,
     RunConfig,
 };
-use cfed_dbt::{Dbt, DbtStep};
+use cfed_dbt::{Dbt, DbtExit, DbtStep, DbtStop, EngineSpec};
 use cfed_isa::{Flags, INST_SIZE_U64};
 use cfed_sim::{Machine, Tracer, Trap};
 
@@ -169,83 +179,50 @@ pub struct Golden {
 /// within the budget — the workload itself is unsound under this
 /// configuration.
 pub fn golden_run(image: &Image, cfg: &RunConfig) -> Result<Golden, WorkloadError> {
-    golden_inner(image, cfg, |_, _, _| {})
+    golden_inner(image, cfg, |_, _, _| None)
 }
 
 /// The fault-free run behind [`golden_run`], snapshot capture and the
-/// attack-surface walk: `at_branch` sees the machine just before each
-/// dynamic branch executes, with that branch's index. It only observes, so
-/// the returned golden is the same whatever it does.
+/// attack-surface walk. The run stops just before dynamic branch 0
+/// executes and hands the machine to `at_branch` with that branch's index;
+/// `at_branch` returns the next (greater) index it wants to see, or `None`
+/// to run on to the end. Each stop is the branch ceiling of
+/// [`Dbt::run_until`], the instant a trial striking at that index stops
+/// at, so a checkpoint captured there is exactly the trial's state.
+/// `at_branch` only observes, so the returned golden is the same whatever
+/// it does.
 pub(crate) fn golden_inner(
     image: &Image,
     cfg: &RunConfig,
-    mut at_branch: impl FnMut(&mut Machine, &Dbt, u64),
+    mut at_branch: impl FnMut(&mut Machine, &Dbt, u64) -> Option<u64>,
 ) -> Result<Golden, WorkloadError> {
     let (mut m, mut dbt) = build(image, cfg);
-    let walk = walk_branches(&mut m, &mut dbt, cfg.max_insts, 0, |m, dbt, index| {
-        at_branch(m, dbt, index);
-        false
-    });
-    match walk {
-        Walk::Halted { branches } => Ok(Golden {
-            output: m.cpu.take_output(),
-            exit_code: m.cpu.reg(cfed_isa::Reg::R0),
-            insts: m.cpu.stats().insts,
-            branches,
-        }),
-        Walk::OutOfBudget => Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts }),
-        Walk::Trapped(t) => Err(WorkloadError::Trapped(t)),
-        Walk::Stopped => unreachable!("the fault-free walk never stops early"),
-    }
-}
-
-/// How [`walk_branches`] ended.
-enum Walk {
-    /// `stop_at` held just before a dynamic branch executed.
-    Stopped,
-    /// The program halted; `branches` is the index the next dynamic branch
-    /// would have had.
-    Halted { branches: u64 },
-    /// The machine retired its instruction budget first.
-    OutOfBudget,
-    /// The program trapped.
-    Trapped(Trap),
-}
-
-/// Steps `m` one instruction at a time until the program halts or traps,
-/// `budget` instructions have retired, or `stop_at` holds. `stop_at` runs
-/// just before each dynamic branch executes, with the branch's index
-/// counted from `first` (the index of the next branch the machine meets).
-/// The golden run and every trial's fault-free prefix step through here, so
-/// a checkpoint taken at index `i` is exactly the state a trial striking at
-/// `i` stops in.
-fn walk_branches(
-    m: &mut Machine,
-    dbt: &mut Dbt,
-    budget: u64,
-    first: u64,
-    mut stop_at: impl FnMut(&mut Machine, &Dbt, u64) -> bool,
-) -> Walk {
-    let mut index = first;
+    let mut ceiling = Some(0);
     loop {
-        if m.cpu.stats().insts >= budget {
-            return Walk::OutOfBudget;
-        }
-        if m.peek_inst().is_ok_and(|i| i.is_branch()) {
-            if stop_at(m, dbt, index) {
-                return Walk::Stopped;
+        match dbt.run_until(&mut m, cfg.max_insts, ceiling.unwrap_or(u64::MAX)) {
+            DbtStop::BranchCeiling => {
+                let index = m.cpu.stats().branches;
+                ceiling = at_branch(&mut m, &dbt, index);
+                debug_assert!(ceiling.is_none_or(|next| next > index), "observer must advance");
             }
-            index += 1;
-        }
-        match dbt.step(m) {
-            DbtStep::Continue => {}
-            DbtStep::Halted => return Walk::Halted { branches: index },
-            DbtStep::Exit(t) => return Walk::Trapped(t),
+            DbtStop::Exit(DbtExit::Halted { code }) => {
+                let stats = m.cpu.stats();
+                return Ok(Golden {
+                    output: m.cpu.take_output(),
+                    exit_code: code,
+                    insts: stats.insts,
+                    branches: stats.branches,
+                });
+            }
+            DbtStop::Exit(DbtExit::StepLimit) => {
+                return Err(WorkloadError::BudgetExhausted { insts: m.cpu.stats().insts })
+            }
+            DbtStop::Exit(DbtExit::Trapped(t)) => return Err(WorkloadError::Trapped(t)),
         }
     }
 }
 
-fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
+pub(crate) fn build(image: &Image, cfg: &RunConfig) -> (Machine, Dbt) {
     let mut m = Machine::load(image.code(), image.data(), image.entry_offset());
     let mut dbt = Dbt::new(cfg.instrumenter(image), cfg.style, &mut m);
     // Attach eagerly: branch counting and fault placement must happen on
@@ -289,13 +266,14 @@ pub(crate) struct Strike {
     pub(crate) step: DbtStep,
 }
 
-/// Runs one trial to an outcome, fast-forwarding through `snapshots` when
-/// provided: the nearest checkpoint at-or-below the strike branch is
-/// restored and only the residual prefix is stepped, reusing the
-/// checkpoint's translated code cache. Falls back to from-scratch when the
-/// set was captured under a different configuration or holds no usable
-/// checkpoint. The outcome is bit-identical to the from-scratch path either
-/// way.
+/// Runs one trial to an outcome on the block-fused DBT, fast-forwarding
+/// through `snapshots` when provided: the nearest checkpoint at-or-below
+/// the strike branch is restored and only the residual prefix runs,
+/// reusing the checkpoint's translated code cache. Falls back to
+/// from-scratch when the set was captured under a different configuration
+/// or holds no usable checkpoint. The outcome is bit-identical to the
+/// from-scratch path either way, and to the per-step reference
+/// ([`run_trial_on`] with [`EngineSpec::DbtStep`]).
 ///
 /// Returns `Ok(None)` when the trial is unplaceable: it names a dynamic
 /// branch beyond the program's execution (use [`golden_run`]'s branch
@@ -314,7 +292,37 @@ pub fn run_trial(
     golden: &Golden,
     snapshots: Option<&SnapshotSet>,
 ) -> Result<Option<InjectionResult>, WorkloadError> {
-    Ok(run_trial_inner(image, cfg, trial, golden, None, snapshots)?.map(|(r, _, _)| r))
+    run_trial_on(EngineSpec::DbtFused, image, cfg, trial, golden, snapshots)
+}
+
+/// [`run_trial`] on `engine`: [`EngineSpec::DbtFused`] is what
+/// [`run_trial`] runs, [`EngineSpec::DbtStep`] the per-instruction
+/// [`Dbt::step`] reference (the machine runs without a decode cache) that
+/// engine-differential tests compare it against. Campaigns only run the
+/// fused engine.
+///
+/// # Panics
+///
+/// On any other engine: native engines cannot be cloned into snapshots,
+/// and tiered ones are not trial engines.
+///
+/// # Errors
+///
+/// As [`run_trial`].
+pub fn run_trial_on(
+    engine: EngineSpec,
+    image: &Image,
+    cfg: &RunConfig,
+    trial: Trial,
+    golden: &Golden,
+    snapshots: Option<&SnapshotSet>,
+) -> Result<Option<InjectionResult>, WorkloadError> {
+    assert!(
+        matches!(engine, EngineSpec::DbtFused | EngineSpec::DbtStep),
+        "trials run on dbt-fused or dbt-step, not {}",
+        engine.label()
+    );
+    Ok(run_trial_inner(engine, image, cfg, trial, golden, None, snapshots)?.map(|(r, _, _)| r))
 }
 
 /// [`run_trial`] for a fault from scratch. Kept as a one-line delegation
@@ -359,7 +367,7 @@ pub fn run_trial_traced(
     capacity: usize,
     snapshots: Option<&SnapshotSet>,
 ) -> Result<Option<(InjectionResult, Tracer, Option<AttackProvenance>)>, WorkloadError> {
-    Ok(run_trial_inner(image, cfg, trial, golden, Some(capacity), snapshots)?
+    Ok(run_trial_inner(EngineSpec::DbtFused, image, cfg, trial, golden, Some(capacity), snapshots)?
         .map(|(r, t, p)| (r, t.expect("tracer attached"), p)))
 }
 
@@ -369,8 +377,10 @@ type Finished = (InjectionResult, Option<Tracer>, Option<AttackProvenance>);
 
 /// The trial loop: replay (or fast-forward) the fault-free prefix to the
 /// strike branch, corrupt the machine there as `trial` says, then run to an
-/// outcome.
+/// outcome. A tracer, or `engine` without a decode cache, makes
+/// [`Dbt::run_until`] step one instruction at a time.
 fn run_trial_inner(
+    engine: EngineSpec,
     image: &Image,
     cfg: &RunConfig,
     trial: Trial,
@@ -395,13 +405,13 @@ fn run_trial_inner(
             None => s.note_miss(nth),
         }
     }
-    let (mut m, mut dbt, first) = match restored {
-        Some(snap) => (snap.machine.restore(), snap.dbt.clone(), snap.branch_index),
-        None => {
-            let (m, dbt) = build(image, cfg);
-            (m, dbt, 0)
-        }
+    let (mut m, mut dbt) = match restored {
+        Some(snap) => (snap.machine.restore(), snap.dbt.clone()),
+        None => build(image, cfg),
     };
+    if !engine.decode_cache() {
+        m.set_decode_cache(false);
+    }
     if let Some(capacity) = trace_capacity {
         // From scratch this is a plain fresh tracer (zero retired); from a
         // checkpoint it resumes the count at the instructions already
@@ -410,12 +420,13 @@ fn run_trial_inner(
     }
     let budget = golden.insts * 3 + 100_000;
 
-    // Phase 1: run to the strike point and corrupt the machine there.
-    match walk_branches(&mut m, &mut dbt, budget, first, |_, _, index| index == nth) {
-        Walk::Stopped => {}
+    // Phase 1: run to the strike point — the branch ceiling `nth` — and
+    // corrupt the machine there.
+    match dbt.run_until(&mut m, budget, nth) {
+        DbtStop::BranchCeiling => {}
         // Out of budget, or the program ended before the nth branch.
-        Walk::OutOfBudget | Walk::Halted { .. } => return Ok(None),
-        Walk::Trapped(t) => return Err(WorkloadError::Trapped(t)),
+        DbtStop::Exit(DbtExit::StepLimit | DbtExit::Halted { .. }) => return Ok(None),
+        DbtStop::Exit(DbtExit::Trapped(t)) => return Err(WorkloadError::Trapped(t)),
     }
     let strike = match trial {
         Trial::Fault(spec) => Some(inject_now(&mut m, &mut dbt, image, spec)),
@@ -428,64 +439,58 @@ fn run_trial_inner(
 
     // Phase 2: run to an outcome (the faulted step itself may already have
     // produced one). With snapshots available and no tracer attached, the
-    // loop additionally performs convergence pruning: whenever the trial is
-    // about to execute a dynamic branch for which the golden run holds a
-    // checkpoint, and the trial's architectural state is bit-identical to
-    // that checkpoint (CPU including counters and the output stream, every
-    // written page — the code cache among them — and page permissions),
-    // the deterministic remainder *is* the golden remainder. The outcome is
-    // then provably Benign with exactly the latency the full run would
-    // report, so the suffix is skipped. Traced runs never prune: the
-    // tracer window must hold the genuinely executed final instructions.
+    // run additionally performs convergence pruning: each golden checkpoint
+    // after the strike is a branch ceiling, and when the trial's
+    // architectural state there is bit-identical to the checkpoint (CPU
+    // including counters and the output stream, every written page — the
+    // code cache among them — and page permissions), the deterministic
+    // remainder *is* the golden remainder. The outcome is then provably
+    // Benign with exactly the latency the full run would report, so the
+    // suffix is skipped. Traced runs never prune: the tracer window must
+    // hold the genuinely executed final instructions.
     let prune = match trace_capacity {
         None => usable,
         Some(_) => None,
     };
-    let mut boundaries = prune.map(|s| s.after(nth).iter()).into_iter().flatten().peekable();
-    // The faulted step consumed dynamic branch `nth`; later trial branch
-    // indices only stay aligned with golden's while the paths coincide —
-    // exactly the situation state equality certifies, and misaligned
-    // comparisons simply fail (the CPU's retired counters differ).
-    let mut trial_branch = nth;
-    let mut pending = Some(strike.step);
-    let (outcome, pruned_latency) = loop {
-        if m.cpu.stats().insts >= budget {
-            break (Outcome::Timeout, None);
-        }
-        let step = match pending.take() {
-            Some(DbtStep::Continue) | None => {
-                if boundaries.peek().is_some()
-                    && m.peek_inst().map(|i| i.is_branch()).unwrap_or(false)
-                {
-                    trial_branch += 1;
-                    while boundaries.next_if(|s| s.branch_index < trial_branch).is_some() {}
-                    if let Some(snap) = boundaries.next_if(|s| s.branch_index == trial_branch) {
-                        if snap.machine.matches(&m) {
-                            prune.expect("pruning implies a snapshot set").note_pruned();
-                            break (Outcome::Benign, Some(golden.insts - insts_at_injection));
-                        }
+    let mut boundaries = prune.map_or(&[][..], |s| s.after(nth)).iter();
+    let end = match strike.step {
+        DbtStep::Continue => loop {
+            let ceiling = boundaries.as_slice().first().map_or(u64::MAX, |s| s.branch_index);
+            match dbt.run_until(&mut m, budget, ceiling) {
+                DbtStop::Exit(exit) => break Some(exit),
+                DbtStop::BranchCeiling => {
+                    let snap = boundaries.next().expect("a checkpoint set the ceiling");
+                    if snap.machine.matches(&m) {
+                        prune.expect("pruning implies a snapshot set").note_pruned();
+                        break None;
                     }
                 }
-                dbt.step(&mut m)
             }
-            Some(other) => other,
-        };
-        match step {
-            DbtStep::Continue => {}
-            DbtStep::Halted => {
-                let ok = m.cpu.output() == golden.output.as_slice()
-                    && m.cpu.reg(cfed_isa::Reg::R0) == golden.exit_code;
-                break (if ok { Outcome::Benign } else { Outcome::Sdc }, None);
-            }
-            DbtStep::Exit(t) => break (outcome_of_trap(t), None),
-        }
+        },
+        DbtStep::Halted => Some(DbtExit::Halted { code: m.cpu.reg(cfed_isa::Reg::R0) }),
+        DbtStep::Exit(t) => Some(DbtExit::Trapped(t)),
     };
+    let outcome = match end {
+        // Pruned: converged onto the golden run.
+        None => Outcome::Benign,
+        Some(DbtExit::Halted { code }) => {
+            let ok = m.cpu.output() == golden.output.as_slice() && code == golden.exit_code;
+            if ok {
+                Outcome::Benign
+            } else {
+                Outcome::Sdc
+            }
+        }
+        Some(DbtExit::Trapped(t)) => outcome_of_trap(t),
+        Some(DbtExit::StepLimit) => Outcome::Timeout,
+    };
+    let insts_at_end = if end.is_some() { m.cpu.stats().insts } else { golden.insts };
 
     let result = InjectionResult {
         outcome,
         category: strike.category,
         site: strike.site,
-        latency_insts: pruned_latency.unwrap_or(m.cpu.stats().insts - insts_at_injection),
+        latency_insts: insts_at_end - insts_at_injection,
         instrumentation_landing: strike.landing,
     };
     Ok(Some((result, m.tracer.take(), strike.provenance)))

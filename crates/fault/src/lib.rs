@@ -51,7 +51,7 @@ pub use campaign::{
 pub use error_model::{analyze_image, ErrorModelReport, ErrorModelTable, FaultSide};
 pub use forensics::{Forensics, DEFAULT_TRACE_WINDOW};
 pub use inject::{
-    golden_run, inject, run_trial, run_trial_traced, FaultSpec, Golden, InjectionResult, Outcome,
-    Trial, WorkloadError,
+    golden_run, inject, run_trial, run_trial_on, run_trial_traced, FaultSpec, Golden,
+    InjectionResult, Outcome, Trial, WorkloadError,
 };
 pub use snapshot::{SnapshotSet, SnapshotStats};

@@ -1,12 +1,18 @@
 //! Checkpointed fast-forward for fault injection.
 //!
 //! Every injection trial must first replay the fault-free prefix up to the
-//! nth dynamic branch — O(program length) of single-stepping and a full
+//! nth dynamic branch — O(program length) of execution and a full
 //! re-translation per trial. During the golden run this module captures
 //! periodic `(Machine, Dbt)` snapshots keyed by dynamic-branch index;
 //! [`crate::run_trial`] then restores the nearest snapshot at-or-below the
-//! target branch and steps only the residual prefix, reusing the
+//! target branch and runs only the residual prefix, reusing the
 //! translated code cache instead of re-translating.
+//!
+//! The golden run stops for a capture at a branch ceiling of
+//! [`Dbt::run_until`], the instant a trial striking at that index stops at
+//! too, so a checkpoint's `branch_index` always equals the
+//! `ExecStats.branches` of the machine it holds. The capture only stops at
+//! the interval's multiples, and runs block-fused in between.
 //!
 //! Both halves of a snapshot are captured at the same instant and restored
 //! together: the [`cfed_sim::MachineSnapshot`] holds the architectural
@@ -85,7 +91,7 @@ impl SnapshotSet {
     pub fn capture(image: &Image, cfg: &RunConfig) -> Result<(Golden, SnapshotSet), WorkloadError> {
         let mut builder = SnapshotBuilder::new();
         let golden =
-            golden_inner(image, cfg, |m, dbt, index| builder.observe_branch(index, m, dbt))?;
+            golden_inner(image, cfg, |m, dbt, index| Some(builder.observe_branch(index, m, dbt)))?;
         Ok((golden, builder.finish(*cfg)))
     }
 
@@ -227,24 +233,23 @@ impl SnapshotBuilder {
     }
 
     /// Called by the golden run when it is about to execute dynamic branch
-    /// `branch_index`; captures a checkpoint on interval boundaries. The
-    /// machine is only observed — dirty-page bookkeeping aside, its state
-    /// is untouched.
-    pub(crate) fn observe_branch(&mut self, branch_index: u64, m: &mut Machine, dbt: &Dbt) {
-        if !branch_index.is_multiple_of(self.interval) {
-            return;
-        }
+    /// `branch_index`, a multiple of the interval; captures a checkpoint
+    /// unless thinning moves the interval past it, and returns the next
+    /// index to stop at — the next multiple of the (possibly doubled)
+    /// interval. The machine is only observed — dirty-page bookkeeping
+    /// aside, its state is untouched.
+    pub(crate) fn observe_branch(&mut self, branch_index: u64, m: &mut Machine, dbt: &Dbt) -> u64 {
         if self.snapshots.len() >= MAX_SNAPSHOTS {
             self.thin();
-            if !branch_index.is_multiple_of(self.interval) {
-                return;
-            }
         }
-        self.snapshots.push(Snapshot {
-            branch_index,
-            machine: self.tracker.capture(m),
-            dbt: dbt.clone(),
-        });
+        if branch_index.is_multiple_of(self.interval) {
+            self.snapshots.push(Snapshot {
+                branch_index,
+                machine: self.tracker.capture(m),
+                dbt: dbt.clone(),
+            });
+        }
+        (branch_index / self.interval + 1) * self.interval
     }
 
     /// Doubles the interval and drops the checkpoints that no longer fall
@@ -347,6 +352,49 @@ mod tests {
         let stats = snaps.stats();
         assert_eq!(stats.snapshots, snaps.len() as u64);
         assert_eq!(stats.restores, 0);
+    }
+
+    /// Every checkpoint is the state the per-instruction walk the capture
+    /// replaced (stepping, counting peeked branches) stops in at its
+    /// index, with that many branches retired, and the golden branch count
+    /// is the walk's peeked count.
+    #[test]
+    fn checkpoints_sit_where_the_stepped_walk_stops() {
+        use cfed_dbt::DbtStep;
+        use cfed_workloads::Scale;
+        let workloads = ["164.gzip", "176.gcc", "181.mcf", "171.swim", "183.equake", "191.fma3d"];
+        let configs = [
+            RunConfig::baseline(),
+            RunConfig::technique(TechniqueKind::EdgCf),
+            RunConfig::technique(TechniqueKind::Rcf),
+        ];
+        for name in workloads {
+            let img = cfed_workloads::by_name(name).unwrap().image(Scale::Test).unwrap();
+            for cfg in &configs {
+                let (golden, snaps) = SnapshotSet::capture(&img, cfg).unwrap();
+                assert!(!snaps.is_empty());
+                let (mut m, mut dbt) = crate::inject::build(&img, cfg);
+                let mut checkpoints = snaps.snapshots.iter().peekable();
+                let mut peeked = 0;
+                loop {
+                    if m.peek_inst().is_ok_and(|i| i.is_branch()) {
+                        if let Some(s) = checkpoints.next_if(|s| s.branch_index == peeked) {
+                            assert_eq!(m.cpu.stats().branches, peeked, "{name} {cfg:?}");
+                            assert!(s.machine.matches(&m), "{name} {cfg:?} @{peeked}");
+                        }
+                        peeked += 1;
+                    }
+                    match dbt.step(&mut m) {
+                        DbtStep::Continue => {}
+                        DbtStep::Halted => break,
+                        DbtStep::Exit(t) => panic!("{name} {cfg:?} trapped: {t}"),
+                    }
+                }
+                assert!(checkpoints.next().is_none(), "{name} {cfg:?}: checkpoint never reached");
+                assert_eq!(golden.branches, peeked, "{name} {cfg:?}");
+                assert_eq!(golden.branches, m.cpu.stats().branches, "{name} {cfg:?}");
+            }
+        }
     }
 
     #[test]

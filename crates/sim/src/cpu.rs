@@ -538,11 +538,18 @@ impl Cpu {
     /// executing page's write generation, at any transfer off the page or
     /// to an unaligned target, on halt, trap or the budget.
     ///
+    /// The run also stops just before a control transfer would execute
+    /// once [`ExecStats::branches`] has reached `branch_ceiling` (pass
+    /// `u64::MAX` for none): the instant a supervisor stepping one
+    /// instruction at a time sees `peek_inst().is_branch()` with that many
+    /// branches retired. The stopped instruction is fetched but neither
+    /// executed nor counted.
+    ///
     /// Equivalent to calling [`Cpu::step`] `max` times: same architectural
     /// state, same statistics, and the same trap at the same instruction
     /// (with `traps` advanced and nothing committed). Returns
-    /// `Ok(Step::Continue)` when the budget is exhausted, `Ok(Step::Halt)`
-    /// when a `halt` retires.
+    /// `Ok(Step::Continue)` when the budget is exhausted or the ceiling
+    /// reached, `Ok(Step::Halt)` when a `halt` retires.
     ///
     /// # Errors
     ///
@@ -552,11 +559,12 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        branch_ceiling: u64,
     ) -> Result<Step, Trap> {
         // The scratch profiler is never touched: the `PROF = false`
         // instantiation contains no profiling code, so this path is the
         // exact pre-profiler loop.
-        self.run_fused_impl::<false>(mem, icache, max, &mut ExecProfiler::new())
+        self.run_fused_impl::<false>(mem, icache, max, branch_ceiling, &mut ExecProfiler::new())
     }
 
     /// As [`Cpu::run_fused`], recording every retirement's address and
@@ -573,9 +581,10 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        branch_ceiling: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
-        self.run_fused_impl::<true>(mem, icache, max, prof)
+        self.run_fused_impl::<true>(mem, icache, max, branch_ceiling, prof)
     }
 
     fn run_fused_impl<const PROF: bool>(
@@ -583,6 +592,7 @@ impl Cpu {
         mem: &mut Memory,
         icache: &mut DecodedCache,
         max: u64,
+        branch_ceiling: u64,
         prof: &mut ExecProfiler,
     ) -> Result<Step, Trap> {
         // Per-class cycle costs under the *current* cost model, so cached
@@ -591,8 +601,11 @@ impl Cpu {
         let mut retired: u64 = 0;
         let mut misses: u64 = 0;
         // One extra fetch was classified (hit or miss) but not retired:
-        // set when an executed instruction traps after a successful fetch.
-        let mut trapped_fetch: u64 = 0;
+        // set when an executed instruction traps after a successful fetch,
+        // or when the branch ceiling stops the run before a transfer.
+        let mut unretired_fetch: u64 = 0;
+        // Branches this call may retire before the ceiling stops it.
+        let branch_room = branch_ceiling.saturating_sub(self.stats.branches);
         // Retirement statistics accumulate in locals and flush once at the
         // end, keeping per-instruction bookkeeping in registers.
         let mut d_cycles: u64 = 0;
@@ -650,12 +663,16 @@ impl Cpu {
                         }
                     }
                 }
+                if line.class >= icache::C_JMP && d_branches >= branch_room {
+                    unretired_fetch = 1;
+                    break 'outer Ok(Step::Continue);
+                }
                 let (_, taken, next) =
                     match self.exec_inst_impl::<true>(mem, ip, line.inst, line.target) {
                         Ok(r) => r,
                         Err(trap) => {
                             self.stats.traps += 1;
-                            trapped_fetch = 1;
+                            unretired_fetch = 1;
                             break 'outer Err(trap);
                         }
                     };
@@ -713,8 +730,8 @@ impl Cpu {
         self.stats.branches += d_branches;
         self.stats.branches_taken += d_taken;
         // Every classified fetch (the retired instructions, plus a final one
-        // whose execution trapped) was either a hit or a decode miss.
-        icache.stats.hits += retired + trapped_fetch - misses;
+        // that trapped or met the ceiling) was either a hit or a decode miss.
+        icache.stats.hits += retired + unretired_fetch - misses;
         icache.stats.misses += misses;
         result
     }
@@ -727,7 +744,7 @@ impl Cpu {
         icache: &mut DecodedCache,
         max_steps: u64,
     ) -> ExitReason {
-        match self.run_fused(mem, icache, max_steps) {
+        match self.run_fused(mem, icache, max_steps, u64::MAX) {
             Ok(Step::Halt) => ExitReason::Halted { code: self.reg(Reg::R0) },
             Ok(Step::Continue) => ExitReason::StepLimit,
             Err(trap) => ExitReason::Trapped(trap),

@@ -227,19 +227,28 @@ impl Machine {
     /// (falling back to per-instruction stepping when no decode cache is
     /// attached), returning the raw supervisor-level step result instead of
     /// an [`ExitReason`] — the DBT's dispatch loop wants the trap itself.
-    /// The attached tracer, if any, is *not* fed (callers that trace must
-    /// use [`Machine::step_cpu`]).
+    /// Stops early, with `Ok(Step::Continue)`, just before a control
+    /// transfer would execute once the CPU has retired `branch_ceiling`
+    /// branches (see [`Cpu::run_fused`]). The attached tracer, if any, is
+    /// *not* fed (callers that trace must use [`Machine::step_cpu`]).
     ///
     /// # Errors
     ///
     /// The first trap raised, exactly as `max_steps` individual steps.
-    pub fn run_burst(&mut self, max_steps: u64) -> Result<Step, Trap> {
+    pub fn run_burst(&mut self, max_steps: u64, branch_ceiling: u64) -> Result<Step, Trap> {
         match (&mut self.icache, &mut self.profiler) {
-            (Some(ic), Some(p)) => self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, p),
-            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps),
+            (Some(ic), Some(p)) => {
+                self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, branch_ceiling, p)
+            }
+            (Some(ic), None) => self.cpu.run_fused(&mut self.mem, ic, max_steps, branch_ceiling),
             (None, _) => {
                 let mut used = 0;
                 while used < max_steps {
+                    if self.cpu.stats().branches >= branch_ceiling
+                        && self.cpu.peek_inst(&self.mem).is_ok_and(|i| i.is_branch())
+                    {
+                        break;
+                    }
                     match self.cpu.step(&mut self.mem)? {
                         Step::Halt => return Ok(Step::Halt),
                         Step::Continue => used += 1,
@@ -265,7 +274,7 @@ impl Machine {
     pub fn run(&mut self, max_steps: u64) -> ExitReason {
         match (&mut self.icache, &mut self.profiler) {
             (Some(ic), Some(p)) => {
-                match self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, p) {
+                match self.cpu.run_fused_profiled(&mut self.mem, ic, max_steps, u64::MAX, p) {
                     Ok(Step::Halt) => ExitReason::Halted { code: self.cpu.reg(cfed_isa::Reg::R0) },
                     Ok(Step::Continue) => ExitReason::StepLimit,
                     Err(trap) => ExitReason::Trapped(trap),

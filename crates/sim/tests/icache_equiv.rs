@@ -7,10 +7,11 @@
 //! flags, ip, halted, stats, output), traps, dirty-page logs and memory
 //! contents. These properties drive random programs (valid and invalid
 //! encodings) interleaved with random code-page writes through all three
-//! paths and demand exact agreement.
+//! paths and demand exact agreement. A branch ceiling must stop the fused
+//! paths exactly where stepping with `peek_inst().is_branch()` stops.
 
 use cfed_isa::{AluOp, Cond, Inst, Reg, INST_SIZE_U64};
-use cfed_sim::{Cpu, DecodedCache, Memory, Perms, Step, Trap, PAGE_SIZE};
+use cfed_sim::{Cpu, DecodedCache, ExecProfiler, Memory, Perms, Step, Trap, PAGE_SIZE};
 use proptest::prelude::*;
 
 const CODE_PAGES: u64 = 2;
@@ -75,22 +76,30 @@ fn arb_word() -> impl Strategy<Value = [u8; 8]> {
     })
 }
 
-/// One external event: run up to `steps` instructions, then (maybe) write
-/// `word` into the code region at `slot` — the SMC-from-outside case (DBT
-/// chain patching, fault injection) the cache must observe.
+/// One external event: run up to `steps` instructions, stopping early
+/// before a branch once `branches` more have retired (when set), then
+/// (maybe) write `word` into the code region at `slot` — the
+/// SMC-from-outside case (DBT chain patching, fault injection) the cache
+/// must observe.
 #[derive(Debug, Clone)]
 struct Op {
     steps: u64,
+    branches: Option<u64>,
     write: Option<(u64, [u8; 8])>,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+fn arb_op(ceilings: bool) -> impl Strategy<Value = Op> {
     let write = prop_oneof![
         Just(None),
         (0u64..(CODE_PAGES * PAGE_SIZE / INST_SIZE_U64), arb_word())
             .prop_map(|(slot, word)| Some((slot * INST_SIZE_U64, word))),
     ];
-    (0u64..40, write).prop_map(|(steps, write)| Op { steps, write })
+    let branches = if ceilings {
+        prop_oneof![Just(None), (0u64..6).prop_map(Some)].boxed()
+    } else {
+        Just(None).boxed()
+    };
+    (0u64..40, branches, write).prop_map(|(steps, branches, write)| Op { steps, branches, write })
 }
 
 fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
@@ -112,6 +121,7 @@ fn build(words: &[[u8; 8]]) -> (Cpu, Memory) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum SegEnd {
     Budget,
+    Ceiling,
     Halt,
     Trap(Trap),
 }
@@ -121,26 +131,56 @@ enum Path {
     Raw,
     Stepped,
     Fused,
+    Profiled,
 }
 
-/// Runs the op sequence down one execution path and returns everything
-/// observable: per-segment outcomes, final CPU, dirty log and code bytes.
-fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<u64>, Vec<u8>) {
+/// Everything observable after an op sequence: per-segment outcomes,
+/// final CPU, dirty log and code bytes.
+type Observed = (Vec<SegEnd>, Cpu, Vec<u64>, Vec<u8>);
+
+/// Runs the op sequence down one execution path, returning what it
+/// observably did and the number of fetches its decode cache classified
+/// (hits plus misses).
+fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Observed, u64) {
     let (mut cpu, mut mem) = build(words);
     let mut icache = DecodedCache::new();
+    let mut prof = ExecProfiler::new();
     let mut log = Vec::new();
     let mut live = true;
     for op in ops {
         if live {
+            let ceiling = op.branches.map_or(u64::MAX, |b| cpu.stats().branches + b);
             let end = match path {
-                Path::Fused => match cpu.run_fused(&mut mem, &mut icache, op.steps) {
-                    Ok(Step::Continue) => SegEnd::Budget,
-                    Ok(Step::Halt) => SegEnd::Halt,
-                    Err(t) => SegEnd::Trap(t),
-                },
+                Path::Fused | Path::Profiled => {
+                    let start = cpu.stats().insts;
+                    let run = match path {
+                        Path::Fused => cpu.run_fused(&mut mem, &mut icache, op.steps, ceiling),
+                        _ => cpu.run_fused_profiled(
+                            &mut mem,
+                            &mut icache,
+                            op.steps,
+                            ceiling,
+                            &mut prof,
+                        ),
+                    };
+                    match run {
+                        Ok(Step::Continue) if cpu.stats().insts - start < op.steps => {
+                            SegEnd::Ceiling
+                        }
+                        Ok(Step::Continue) => SegEnd::Budget,
+                        Ok(Step::Halt) => SegEnd::Halt,
+                        Err(t) => SegEnd::Trap(t),
+                    }
+                }
                 Path::Raw | Path::Stepped => {
                     let mut end = SegEnd::Budget;
                     for _ in 0..op.steps {
+                        if cpu.stats().branches >= ceiling
+                            && cpu.peek_inst(&mem).is_ok_and(|i| i.is_branch())
+                        {
+                            end = SegEnd::Ceiling;
+                            break;
+                        }
                         let step = match path {
                             Path::Raw => cpu.step(&mut mem),
                             _ => cpu.step_decoded(&mut mem, &mut icache),
@@ -160,7 +200,7 @@ fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<
                     end
                 }
             };
-            live = end == SegEnd::Budget;
+            live = matches!(end, SegEnd::Budget | SegEnd::Ceiling);
             log.push(end);
         }
         if let Some((addr, word)) = op.write {
@@ -168,39 +208,58 @@ fn execute(words: &[[u8; 8]], ops: &[Op], path: Path) -> (Vec<SegEnd>, Cpu, Vec<
         }
     }
     let code = mem.peek(0, (CODE_PAGES * PAGE_SIZE) as usize).to_vec();
-    (log, cpu, mem.dirty_pages(), code)
+    let stats = icache.stats();
+    ((log, cpu, mem.dirty_pages(), code), stats.hits + stats.misses)
+}
+
+/// Runs `ops` down all four paths and demands identical observations. The
+/// stepped path classifies one fetch per executed or trapping instruction;
+/// the fused paths classify the same plus the branch each ceiling stop
+/// fetched without executing.
+fn assert_paths_agree(words: &[[u8; 8]], ops: &[Op]) {
+    let (raw, _) = execute(words, ops, Path::Raw);
+    let (stepped, stepped_fetches) = execute(words, ops, Path::Stepped);
+    let stops = stepped.0.iter().filter(|e| **e == SegEnd::Ceiling).count() as u64;
+    prop_assert_eq!(&raw, &stepped);
+    for path in [Path::Fused, Path::Profiled] {
+        let (fused, fused_fetches) = execute(words, ops, path);
+        prop_assert_eq!(&raw, &fused, "{:?}", path);
+        prop_assert_eq!(fused_fetches, stepped_fetches + stops, "{:?}", path);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random code-page writes interleaved with execution: the decoded
-    /// stepping path and the fused burst path are bit-identical to raw
+    /// stepping path and the fused burst paths are bit-identical to raw
     /// decode in results, traps, stats, dirty log and memory.
     #[test]
     fn decoded_paths_bit_identical_to_raw(
         words in prop::collection::vec(arb_word(), 1..96),
-        ops in prop::collection::vec(arb_op(), 1..24),
+        ops in prop::collection::vec(arb_op(false), 1..24),
     ) {
-        let raw = execute(&words, &ops, Path::Raw);
-        let stepped = execute(&words, &ops, Path::Stepped);
-        let fused = execute(&words, &ops, Path::Fused);
-        prop_assert_eq!(&raw, &stepped);
-        prop_assert_eq!(&raw, &fused);
+        assert_paths_agree(&words, &ops);
     }
 
     /// The guest's own stores into its code page (classic SMC, no external
-    /// writer involved) behave identically down all three paths.
+    /// writer involved) behave identically down all paths.
     #[test]
     fn guest_smc_bit_identical(
         words in prop::collection::vec(arb_word(), 1..96),
         budget in 1u64..600,
     ) {
-        let ops = [Op { steps: budget, write: None }];
-        let raw = execute(&words, &ops, Path::Raw);
-        let stepped = execute(&words, &ops, Path::Stepped);
-        let fused = execute(&words, &ops, Path::Fused);
-        prop_assert_eq!(&raw, &stepped);
-        prop_assert_eq!(&raw, &fused);
+        assert_paths_agree(&words, &[Op { steps: budget, branches: None, write: None }]);
+    }
+
+    /// Segments with a branch ceiling (including one already reached on
+    /// entry) stop the fused paths before the same branch, with the same
+    /// CPU and statistics, as stepping that peeks each instruction.
+    #[test]
+    fn branch_ceiling_stops_where_stepping_stops(
+        words in prop::collection::vec(arb_word(), 1..96),
+        ops in prop::collection::vec(arb_op(true), 1..24),
+    ) {
+        assert_paths_agree(&words, &ops);
     }
 }
